@@ -2,8 +2,8 @@
 #
 # The check builds a small fused network (word + char + POS channels), runs
 # one backward pass, then nudges sampled coordinates of every parameter
-# tensor by +/-h and compares the slope.  A coordinate that disagrees at
-# one step size is retried at smaller ones: stepping across a relu or
+# tensor by +/-h and compares the slope.  Each coordinate is measured at h,
+# h/10 and h/100 and keeps its best agreement: stepping across a relu or
 # max-pool kink inflates a single step size, a wrong gradient fails at all
 # of them.
 

@@ -9,12 +9,9 @@ portion only, so validation documents never leak into the vocabulary.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -22,9 +19,9 @@ from scipy.special import expit
 
 from .corpus import GENDERS, GenderPrediction, gender_index, split_folds
 from .errors import BaselineError, CheckpointError
-from .ioutil import atomic_open
+from .ioutil import read_container, write_container
 from .textpipe import tokenize_tweets
-from .train import AlgoSummary, evaluate, vote_probs
+from .train import AlgoSummary, _accuracy, evaluate, vote_probs
 
 BASELINE_MAGIC = b"GFLB"
 BASELINE_VERSION = 1
@@ -133,11 +130,6 @@ def transform_docs(model: TfidfModel, docs) -> sparse.csr_matrix:
                              shape=(len(indptr) - 1, model.n_terms))
 
 
-def transform(model: TfidfModel, doc) -> sparse.csr_matrix:
-    """One document to a 1-row sparse vector."""
-    return transform_docs(model, [doc])
-
-
 # ---------------------------------------------------------------------------
 # linear models
 # ---------------------------------------------------------------------------
@@ -226,10 +218,6 @@ def user_tokens(user) -> list:
     return [t for toks in tokenize_tweets(user.tweets) for t in toks]
 
 
-def _accuracy(probs: np.ndarray, labels) -> float:
-    return float(np.mean(np.argmax(probs, axis=1) == np.asarray(labels)))
-
-
 def baseline_cv(corpus, algo: str = "LR", *, k: int = 5, seed: int = 0,
                 test_corpus=None, tfidf_config: TfidfConfig | None = None,
                 lam: float = 1e-4, epochs: int = 10, lr: float = 0.1,
@@ -299,60 +287,34 @@ def baseline_cv(corpus, algo: str = "LR", *, k: int = 5, seed: int = 0,
 
 def save_baselines(pairs, path, *, algo: str) -> None:
     """All fold (TF-IDF, linear) pairs in one versioned binary file."""
-    entries = []
-    blobs = []
-    offset = 0
+    parts = []
     for tfidf, lin in pairs:
         if len(lin.w) != tfidf.n_terms:
             raise BaselineError(
                 f"{len(lin.w)} weights for {tfidf.n_terms} TF-IDF columns")
         by_col = sorted(tfidf.terms, key=tfidf.terms.get)
-        payload = np.concatenate([tfidf.idf, lin.w]).astype("<f8").tobytes()
-        entries.append({"terms": by_col, "config": tfidf.config.to_json(),
-                        "bias": lin.b, "loss": lin.loss, "lam": lin.lam,
-                        "offset": offset, "nbytes": len(payload)})
-        blobs.append(payload)
-        offset += len(payload)
-    header = json.dumps({"algo": algo, "folds": entries},
-                        sort_keys=True).encode("utf-8")
-    with atomic_open(path, "wb") as fh:
-        fh.write(BASELINE_MAGIC)
-        fh.write(struct.pack("<I", BASELINE_VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+        parts.append(({"terms": by_col, "config": tfidf.config.to_json(),
+                       "bias": lin.b, "loss": lin.loss, "lam": lin.lam},
+                      np.concatenate([tfidf.idf, lin.w]).astype("<f8").tobytes()))
+    write_container(path, BASELINE_MAGIC, BASELINE_VERSION, {"algo": algo}, "folds", parts)
 
 
 def load_baselines(path) -> tuple[str, list[tuple[TfidfModel, LinearModel]]]:
-    blob = Path(path).read_bytes()
-    if blob[:4] != BASELINE_MAGIC:
-        raise CheckpointError(f"{path}: not a baseline model file (bad magic)")
-    version, = struct.unpack_from("<I", blob, 4)
-    if version != BASELINE_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version}, expected {BASELINE_VERSION}")
-    hlen, = struct.unpack_from("<I", blob, 8)
-    try:
-        header = json.loads(blob[12:12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
-    payload = blob[12 + hlen:]
-    pairs = []
-    for entry in header["folds"]:
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        if len(raw) != entry["nbytes"]:
-            raise CheckpointError(f"{path}: truncated payload")
-        values = np.frombuffer(raw, dtype="<f8")
-        terms = entry["terms"]
-        if len(values) != 2 * len(terms):
-            raise CheckpointError(
-                f"{path}: payload holds {len(values)} values for "
-                f"{len(terms)} terms")
-        tfidf = TfidfModel(terms={t: i for i, t in enumerate(terms)},
-                           idf=values[:len(terms)].copy(),
-                           config=TfidfConfig.from_json(entry["config"]))
-        lin = LinearModel(w=values[len(terms):].copy(), b=entry["bias"],
-                          loss=entry["loss"], lam=entry["lam"])
-        pairs.append((tfidf, lin))
-    return header["algo"], pairs
+    def decode(header, parts):
+        pairs = []
+        for entry, raw in parts:
+            values = np.frombuffer(raw, dtype="<f8")
+            terms = entry["terms"]
+            if len(values) != 2 * len(terms):
+                raise CheckpointError(
+                    f"{path}: payload holds {len(values)} values for "
+                    f"{len(terms)} terms")
+            tfidf = TfidfModel(terms={t: i for i, t in enumerate(terms)},
+                               idf=values[:len(terms)].copy(),
+                               config=TfidfConfig.from_json(entry["config"]))
+            lin = LinearModel(w=values[len(terms):].copy(), b=entry["bias"],
+                              loss=entry["loss"], lam=entry["lam"])
+            pairs.append((tfidf, lin))
+        return header["algo"], pairs
+
+    return read_container(path, BASELINE_MAGIC, BASELINE_VERSION, "folds", decode)

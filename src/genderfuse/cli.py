@@ -52,7 +52,7 @@ from .model import (
 from .stats import AnalysisConfig, ConstructTable, chi2_tail, emit_figure2, odds_ratio
 from .stats import analyze as run_analysis
 from .synth import DEFAULT_RATES, SIGNALS, SynthSpec, gen_gender_corpus, gen_labeled_tweets
-from .tensor import add, l2_penalty, softmax_xent
+from .tensor import add, grad_check, l2_penalty, softmax_xent
 from .textpipe import Vocab, build_doc, build_vocab, normalize, tokenize_tweets
 from .train import (
     EnsembleReport,
@@ -474,11 +474,9 @@ def fd_gradcheck(seed: int = 0, h: float = 1e-5,
                  coords_per_tensor: int = 8) -> dict:
     """Analytic gradients vs central differences on a small fused network.
 
-    Returns ``{tensor name: worst relative error}``; ``coords_per_tensor``
-    evenly spaced coordinates per tensor, or every coordinate when 0.  A
-    coordinate that misses at ``h`` is retried at smaller steps: stepping
-    across a relu or max kink inflates one step size but not all of them,
-    while a genuinely wrong gradient fails at every step.
+    Returns ``{tensor name: worst relative error}`` over ``coords_per_tensor``
+    seeded random coordinates per tensor, or every coordinate when 0; see
+    :func:`genderfuse.tensor.grad_check` for the error measure and step sizes.
     """
     params, batch = _gradcheck_setup(seed)
 
@@ -487,37 +485,9 @@ def fd_gradcheck(seed: int = 0, h: float = 1e-5,
         xent, _ = softmax_xent(logits, batch.labels)
         return add(xent, l2_penalty(params.regularized(), params.arch.l2))
 
-    loss = loss_tensor()
-    loss.backward()
-    analytic = {name: t.grad.copy() for name, t in params.tensors.items()}
-
-    def coord_error(t, i: int, an: float, step: float) -> float:
-        keep = t.data.flat[i]
-        t.data.flat[i] = keep + step
-        hi = float(loss_tensor().data)
-        t.data.flat[i] = keep - step
-        lo = float(loss_tensor().data)
-        t.data.flat[i] = keep
-        fd = (hi - lo) / (2.0 * step)
-        den = max(abs(an), abs(fd))
-        return abs(an - fd) / den if den > 1e-6 else abs(an - fd)
-
-    errors = {}
-    for name, t in params.tensors.items():
-        size = t.data.size
-        if coords_per_tensor and size > coords_per_tensor:
-            idx = np.unique(np.linspace(0, size - 1, coords_per_tensor,
-                                        dtype=np.int64))
-        else:
-            idx = np.arange(size)
-        worst = 0.0
-        for i in idx:
-            an = float(analytic[name].flat[i])
-            err = min(coord_error(t, i, an, step)
-                      for step in (h, h / 10.0, h / 100.0))
-            worst = max(worst, err)
-        errors[name] = worst
-    return errors
+    report = grad_check(loss_tensor, params.tensors, samples_per_tensor=coords_per_tensor,
+                        h=h, rng=np.random.default_rng(seed))
+    return {r.name: r.max_rel_err for r in report.results}
 
 
 def _cmd_gradcheck(args) -> int:
@@ -545,7 +515,7 @@ def _check_conv_oracle():
         x = rng.standard_normal((n, c_in))
         f = rng.standard_normal((w, c_in, c_out))
         b = rng.standard_normal(c_out)
-        got = conv1d(Tensor(x), Tensor(f), Tensor(b), padding="same").data
+        got = conv1d(Tensor(x[None]), Tensor(f), Tensor(b), padding="same").data[0]
         left = (w - 1) // 2
         want = np.zeros((n, c_out))
         for t in range(n):

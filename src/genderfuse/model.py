@@ -10,15 +10,12 @@ output.  Labels: female = 0, male = 1.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, ShapeError, TrainingError
-from .ioutil import atomic_open
+from .ioutil import read_container, write_container
 from .tensor import (
     Adam,
     BatchNormState,
@@ -264,17 +261,6 @@ def make_batch(docs, vocab, labels=None) -> Batch:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def char_layer(params: ModelParams, char_ids) -> Tensor:
-    """Character summary of a single token: conv (same) + ReLU + max pool."""
-    ids = np.asarray(char_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ShapeError(f"char_layer: need a non-empty 1-d id sequence, got shape {ids.shape}")
-    emb = embedding_lookup(params.tensors["char_emb"], ids)
-    conv = conv1d(emb, params.tensors["char_conv_w"], params.tensors["char_conv_b"],
-                  padding="same")
-    return max_over_time(relu(conv), ids.size)
-
-
 def _char_summaries(params: ModelParams, batch: Batch) -> Tensor:
     b, t, c = batch.char_ids.shape
     emb = embedding_lookup(params.tensors["char_emb"], batch.char_ids.reshape(b * t, c))
@@ -358,67 +344,41 @@ def predict_probs(params: ModelParams, docs, vocab, batch_size: int | None = Non
 # ---------------------------------------------------------------------------
 
 def save_params(params: ModelParams, path) -> None:
-    """Binary checkpoint: magic, u32 version, JSON header, raw LE payload."""
+    """Binary checkpoint (see :func:`ioutil.write_container`), raw LE payload."""
     dtype = np.dtype(params.dtype).newbyteorder("<")
-    entries = []
-    blobs = []
-    offset = 0
-    named = dict(params.tensors)
+    arrays = {name: t.data for name, t in params.tensors.items()}
     stats = {"bn_running_mean": params.bn_state.mean, "bn_running_var": params.bn_state.var}
-    for name in sorted(named) + sorted(stats):
-        arr = named[name].data if name in named else stats[name]
-        raw = np.ascontiguousarray(arr, dtype=dtype).tobytes()
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset,
-                        "nbytes": len(raw)})
-        blobs.append(raw)
-        offset += len(raw)
-    header = json.dumps({
-        "arch": params.arch.to_json(),
-        "fingerprint": params.fingerprint,
-        "dtype": dtype.str,
-        "tensors": entries,
-    }, sort_keys=True).encode("utf-8")
-    with atomic_open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+    parts = []
+    for name in sorted(arrays) + sorted(stats):
+        arr = arrays[name] if name in arrays else stats[name]
+        parts.append(({"name": name, "shape": list(arr.shape)},
+                      np.ascontiguousarray(arr, dtype=dtype).tobytes()))
+    header = {"arch": params.arch.to_json(), "fingerprint": params.fingerprint,
+              "dtype": dtype.str}
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, "tensors", parts)
 
 
 def load_params(path, expect_fingerprint: str | None = None,
                 expect_arch: ArchConfig | None = None) -> ModelParams:
-    blob = Path(path).read_bytes()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version, = struct.unpack_from("<I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
-    hlen, = struct.unpack_from("<I", blob, 8)
-    try:
-        header = json.loads(blob[12:12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
-    arch = ArchConfig.from_json(header["arch"])
-    if expect_arch is not None and expect_arch != arch:
-        raise CheckpointError(
-            f"{path}: checkpoint is {arch.variant!r} with different settings; "
-            f"expected {expect_arch.variant!r}")
-    if expect_fingerprint is not None and header["fingerprint"] != expect_fingerprint:
-        raise CheckpointError(
-            f"{path}: vocab fingerprint {header['fingerprint']} does not match "
-            f"expected {expect_fingerprint}")
-    dtype = np.dtype(header["dtype"])
-    payload = blob[12 + hlen:]
-    arrays = {}
-    for entry in header["tensors"]:
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        if len(raw) != entry["nbytes"]:
-            raise CheckpointError(f"{path}: truncated payload for {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
-    mean = arrays.pop("bn_running_mean")
-    var = arrays.pop("bn_running_var")
-    tensors = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
-    return ModelParams(arch=arch, fingerprint=header["fingerprint"], tensors=tensors,
-                       bn_state=BatchNormState(mean=mean, var=var))
+    def decode(header, parts) -> ModelParams:
+        arch = ArchConfig.from_json(header["arch"])
+        if expect_arch is not None and expect_arch != arch:
+            raise CheckpointError(
+                f"{path}: checkpoint is {arch.variant!r} with different settings; "
+                f"expected {expect_arch.variant!r}")
+        if expect_fingerprint is not None and header["fingerprint"] != expect_fingerprint:
+            raise CheckpointError(
+                f"{path}: vocab fingerprint {header['fingerprint']} does not match "
+                f"expected {expect_fingerprint}")
+        if header["dtype"] not in ("<f4", "<f8"):
+            raise CheckpointError(f"{path}: unsupported dtype {header['dtype']!r}")
+        dtype = np.dtype(header["dtype"])
+        arrays = {entry["name"]: np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
+                  for entry, raw in parts}
+        mean = arrays.pop("bn_running_mean")
+        var = arrays.pop("bn_running_var")
+        tensors = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
+        return ModelParams(arch=arch, fingerprint=header["fingerprint"], tensors=tensors,
+                           bn_state=BatchNormState(mean=mean, var=var))
+
+    return read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "tensors", decode)

@@ -4,7 +4,7 @@ A small tape-based autograd over numpy: each op builds a Tensor node whose
 backward closure scatters gradients into its parents.  Only the kernels the
 classifier needs are provided (embedding lookup, 1-d convolution, masked
 max-over-time pooling, batch norm, dropout, dense, softmax cross-entropy,
-L2 penalty) plus Adam/SGD and a finite-difference gradient checker.
+L2 penalty) plus Adam and a finite-difference gradient checker.
 
 Precision policy: tensors carry whatever float dtype their data has; training
 code uses float32, verification suites run the same code paths in float64.
@@ -189,18 +189,17 @@ def conv1d(x: Tensor, filters: Tensor, bias: Tensor | None = None,
            padding: str = "same") -> Tensor:
     """1-d convolution over time.
 
-    ``x`` is (n, c_in) or batched (b, n, c_in); ``filters`` is (w, c_in, c_out).
-    out[t, o] = bias[o] + sum_{j,i} x[t + j - offset, i] * filters[j, i, o]
+    ``x`` is (b, n, c_in); ``filters`` is (w, c_in, c_out).
+    out[r, t, o] = bias[o] + sum_{j,i} x[r, t + j - offset, i] * filters[j, i, o]
     with offset = (w-1)//2 and zero padding for "same"; "valid" yields
     n - w + 1 output steps.
     """
     if padding not in ("same", "valid"):
         raise ShapeError(f"conv1d: unknown padding {padding!r}")
     w, c_in, c_out = filters.data.shape
-    batched = x.data.ndim == 3
-    if x.data.ndim not in (2, 3) or x.data.shape[-1] != c_in:
+    if x.data.ndim != 3 or x.data.shape[-1] != c_in:
         raise ShapeError(f"conv1d: input shape {x.data.shape} vs filters {filters.data.shape}")
-    n = x.data.shape[-2]
+    n = x.data.shape[1]
     if padding == "same":
         left = (w - 1) // 2
         pad = (left, w - 1 - left)
@@ -208,15 +207,9 @@ def conv1d(x: Tensor, filters: Tensor, bias: Tensor | None = None,
         if n < w:
             raise ShapeError(f"conv1d: input length {n} < filter width {w} with valid padding")
         pad = (0, 0)
-    axis = 1 if batched else 0
-    widths = [(0, 0)] * x.data.ndim
-    widths[axis] = pad
-    xp = np.pad(x.data, widths)
-    win = sliding_window_view(xp, w, axis=axis)  # (..., m, c_in, w)
-    if batched:
-        out = np.tensordot(win, filters.data, axes=([3, 2], [0, 1]))
-    else:
-        out = np.tensordot(win, filters.data, axes=([2, 1], [0, 1]))
+    xp = np.pad(x.data, [(0, 0), pad, (0, 0)])
+    win = sliding_window_view(xp, w, axis=1)  # (b, m, c_in, w)
+    out = np.tensordot(win, filters.data, axes=([3, 2], [0, 1]))
     if bias is not None:
         out = out + bias.data
 
@@ -224,61 +217,44 @@ def conv1d(x: Tensor, filters: Tensor, bias: Tensor | None = None,
         if bias is not None and bias.requires_grad:
             bias.accumulate(g.reshape(-1, c_out).sum(axis=0))
         if filters.requires_grad:
-            if batched:
-                fg = np.tensordot(win, g, axes=([0, 1], [0, 1]))  # (c_in, w, c_out)
-            else:
-                fg = np.tensordot(win, g, axes=([0], [0]))
+            fg = np.tensordot(win, g, axes=([0, 1], [0, 1]))  # (c_in, w, c_out)
             filters.accumulate(fg.transpose(1, 0, 2))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
-            m = g.shape[-2]
+            m = g.shape[1]
             for j in range(w):
-                # gxp[.., t+j, i] += sum_o g[.., t, o] * filters[j, i, o]
-                contrib = g @ filters.data[j].T
-                if batched:
-                    gxp[:, j:j + m] += contrib
-                else:
-                    gxp[j:j + m] += contrib
-            lo, hi = pad[0], pad[0] + n
-            x.accumulate(gxp[:, lo:hi] if batched else gxp[lo:hi])
+                # gxp[:, t+j, i] += sum_o g[:, t, o] * filters[j, i, o]
+                gxp[:, j:j + m] += g @ filters.data[j].T
+            x.accumulate(gxp[:, pad[0]:pad[0] + n])
 
     return _node(out, (x, filters) if bias is None else (x, filters, bias), backward)
 
 
 def max_over_time(x: Tensor, valid_len) -> Tensor:
-    """Max over the time axis restricted to the first ``valid_len`` steps.
+    """Max over the time axis restricted to each row's first ``valid_len`` steps.
 
-    ``x`` is (n, c) with an integer length, or batched (b, n, c) with a
-    length vector.  Gradient flows to the first argmax on ties.
+    ``x`` is (b, n, c) and ``valid_len`` a length vector of shape (b,).
+    Gradient flows to the first argmax on ties.
     """
-    batched = x.data.ndim == 3
-    n = x.data.shape[-2]
+    if x.data.ndim != 3:
+        raise ShapeError(f"max_over_time: expected (batch, time, channels), got {x.data.shape}")
+    b, n, _ = x.data.shape
     lens = np.asarray(valid_len, dtype=np.int64)
-    if batched:
-        if lens.shape != (x.data.shape[0],):
-            raise ShapeError(f"max_over_time: lengths shape {lens.shape} for batch {x.data.shape[0]}")
-    elif lens.shape != ():
-        raise ShapeError("max_over_time: scalar length expected for 2-d input")
+    if lens.shape != (b,):
+        raise ShapeError(f"max_over_time: lengths shape {lens.shape} for batch {b}")
     if lens.size and (lens.min() < 1 or lens.max() > n):
         raise ShapeError(f"max_over_time: valid_len must be in [1, {n}], got {lens.min()}..{lens.max()}")
 
-    if batched:
-        t = np.arange(n)[None, :, None]
-        masked = np.where(t < lens[:, None, None], x.data, -np.inf)
-        arg = masked.argmax(axis=1)  # (b, c); first index on ties
-        out = np.take_along_axis(x.data, arg[:, None, :], axis=1)[:, 0, :]
-    else:
-        arg = x.data[:int(lens)].argmax(axis=0)  # (c,)
-        out = x.data[arg, np.arange(x.data.shape[1])]
+    t = np.arange(n)[None, :, None]
+    masked = np.where(t < lens[:, None, None], x.data, -np.inf)
+    arg = masked.argmax(axis=1)  # (b, c); first index on ties
+    out = np.take_along_axis(x.data, arg[:, None, :], axis=1)[:, 0, :]
 
     def backward(g):
         if not x.requires_grad:
             return
         gx = np.zeros_like(x.data)
-        if batched:
-            np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
-        else:
-            gx[arg, np.arange(x.data.shape[1])] = g
+        np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
         x.accumulate(gx)
 
     return _node(out, (x,), backward)
@@ -481,26 +457,6 @@ class Adam:
             p.zero_grad()
 
 
-class SGD:
-    """Plain gradient descent; selectable instead of Adam by config."""
-
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
-        self.params = params
-        self.lr = lr
-
-    def step(self) -> None:
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            if not np.isfinite(p.grad).all():
-                raise TrainingError(f"non-finite gradient for parameter {name!r}")
-            p.data -= self.lr * p.grad
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
-
 # ---------------------------------------------------------------------------
 # gradient checking
 # ---------------------------------------------------------------------------
@@ -544,8 +500,13 @@ def grad_check(loss_fn, params: dict[str, Tensor], *, samples_per_tensor: int = 
     """Central-difference check of analytic gradients.
 
     ``loss_fn`` must be a deterministic closure returning a scalar Tensor
-    (dropout off, batch norm mode fixed); run it in float64.  Relative error
-    is |a - n| / max(|a|, |n|, 1e-8) per sampled coordinate.
+    (dropout off, batch norm mode fixed); run it in float64.  Each tensor
+    gets ``samples_per_tensor`` random coordinates, or all of them when 0.
+    The error of a coordinate is |a - n| / max(|a|, |n|), or |a - n| itself
+    when both are below 1e-6, where finite-difference noise swamps any
+    ratio; it is the smallest over steps h, h/10 and h/100, because stepping
+    across a relu or max kink inflates one step size but not all of them,
+    while a wrong gradient fails at every step.
     """
     rng = rng or np.random.default_rng(0)
     for p in params.values():
@@ -554,25 +515,35 @@ def grad_check(loss_fn, params: dict[str, Tensor], *, samples_per_tensor: int = 
     loss.backward()
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for name, p in params.items()}
-    results = []
-    for name, p in params.items():
-        size = p.data.size
-        coords = rng.choice(size, size=min(samples_per_tensor, size), replace=False)
-        flat = p.data.reshape(-1)
-        worst = 0.0
-        failures = []
-        for c in coords:
-            c = int(c)
+
+    def coordinate_error(flat, c: int, a: float) -> tuple[float, float]:
+        """(smallest error over the step sizes, numeric slope at that step)"""
+        scale = max(1.0, abs(float(flat[c])))
+        best = (np.inf, 0.0)
+        for step in (h * scale, h * scale / 10, h * scale / 100):
             orig = flat[c]
-            step = h * max(1.0, abs(orig))
             flat[c] = orig + step
             f_plus = float(loss_fn().data)
             flat[c] = orig - step
             f_minus = float(loss_fn().data)
             flat[c] = orig
             numeric = (f_plus - f_minus) / (2 * step)
+            den = max(abs(a), abs(numeric))
+            best = min(best, (abs(a - numeric) / den if den > 1e-6 else abs(a - numeric),
+                              numeric))
+        return best
+
+    results = []
+    for name, p in params.items():
+        size = p.data.size
+        coords = rng.choice(size, size=min(samples_per_tensor or size, size), replace=False)
+        flat = p.data.reshape(-1)
+        worst = 0.0
+        failures = []
+        for c in coords:
+            c = int(c)
             a = float(analytic[name].reshape(-1)[c])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            rel, numeric = coordinate_error(flat, c, a)
             worst = max(worst, rel)
             if rel > tolerance:
                 failures.append((c, a, numeric, rel))

@@ -13,6 +13,7 @@ parallel worker processes, produces identical results.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from collections.abc import Mapping
@@ -194,6 +195,20 @@ def _run_fold(fold: int, train_docs, train_labels, val_docs, val_labels,
                       test_accuracy=test_acc, error=error)
 
 
+def _users_digest(users) -> str:
+    """Hash of the user ids and gender labels, in corpus order."""
+    raw = json.dumps([[u.user_id, u.gender] for u in users]).encode("utf-8")
+    return hashlib.sha256(raw).hexdigest()
+
+
+def _embeddings_digest(pretrained: dict) -> str:
+    h = hashlib.sha256()
+    for token in sorted(pretrained):
+        h.update(token.encode("utf-8") + b"\0")
+        h.update(np.asarray(pretrained[token], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def _run_fold_args(args) -> FoldResult:
     # process-pool entry point (pool.map passes a single tuple)
     return _run_fold(*args)
@@ -207,8 +222,10 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
 
     Persists to ``workdir``: the corpus-level vocabulary, one best-epoch
     checkpoint per fold (``fold<i>.gfus``), and per-fold metadata
-    (``fold<i>.json``).  Reruns against the same workdir resume: folds with
-    intact metadata and checkpoint are not retrained.  A fold that fails to
+    (``fold<i>.json``) that records the run's settings and inputs.  Reruns
+    against the same workdir resume: folds with intact metadata and
+    checkpoint are not retrained, and metadata recorded under any other
+    settings or inputs is refused.  A fold that fails to
     produce a finite loss is reported with its partial trace and the error
     message instead of aborting the whole run.
     """
@@ -237,16 +254,24 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
         test_docs = [build_doc(u, vocab) for u in test_corpus]
         test_labels = [gender_index(u.gender) for u in test_corpus]
 
+    manifest = {
+        "seed": seed, "epochs": epochs, "k": k, "arch": arch.to_json(),
+        "min_word_freq": min_word_freq,
+        "pretrained": _embeddings_digest(pretrained) if pretrained else None,
+        "corpus": _users_digest(corpus),
+        "test_corpus": _users_digest(test_corpus) if test_corpus is not None else None,
+    }
     results: dict[int, FoldResult] = {}
     pending: list[int] = []
     for i in range(k):
         meta_path = workdir / f"fold{i}.json"
         if meta_path.exists():
             obj = json.loads(meta_path.read_text(encoding="utf-8"))
-            if obj.get("seed") != seed or obj.get("epochs") != epochs:
+            changed = [key for key in manifest if obj.get(key) != manifest[key]]
+            if changed:
                 raise TrainingError(
-                    f"{meta_path}: recorded run used seed={obj.get('seed')} "
-                    f"epochs={obj.get('epochs')}; use a fresh work directory")
+                    f"{meta_path}: recorded run differs in {', '.join(changed)}; "
+                    "use a fresh work directory")
             fr = FoldResult.from_json(obj)
             if fr.checkpoint and Path(fr.checkpoint).exists():
                 log.info("fold %d: reusing checkpoint %s", i, fr.checkpoint)
@@ -275,8 +300,7 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
 
     for i, fr in results.items():
         if i in pending and fr.error is None:
-            write_json(workdir / f"fold{i}.json",
-                       {**fr.to_json(), "seed": seed, "epochs": epochs})
+            write_json(workdir / f"fold{i}.json", {**fr.to_json(), **manifest})
     return [results[i] for i in range(k)]
 
 

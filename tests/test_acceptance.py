@@ -85,7 +85,7 @@ def test_criterion_2_kernel_oracles():
         x = rng.standard_normal((n, c_in))
         f = rng.standard_normal((w, c_in, c_out))
         b = rng.standard_normal(c_out)
-        got = conv1d(Tensor(x), Tensor(f), Tensor(b), padding=padding).data
+        got = conv1d(Tensor(x[None]), Tensor(f), Tensor(b), padding=padding).data[0]
         worst = max(worst, float(np.abs(got - _conv_loop(x, f, b, padding)).max()))
     for _ in range(200):
         bsz, n, c = int(rng.integers(1, 5)), int(rng.integers(2, 9)), int(rng.integers(1, 5))

@@ -9,7 +9,7 @@ from scipy import sparse
 
 from genderfuse.baseline import (LinearModel, TfidfConfig, TfidfModel, baseline_cv,
                                  fit_linear, fit_tfidf, load_baselines,
-                                 save_baselines, transform, transform_docs,
+                                 save_baselines, transform_docs,
                                  user_tokens)
 from genderfuse.corpus import GENDERS, UserRecord, split_folds
 from genderfuse.errors import BaselineError, CheckpointError
@@ -83,7 +83,7 @@ def test_two_doc_vector_matches_manual_arithmetic():
     # d1 raw tf-idf = [1.4054651..., 0, 1], norm 1.7249151196825583.
     m = fit_tfidf([["red", "cat"], ["red", "dog"]], UNIGRAMS)
     assert m.terms == {"cat": 0, "dog": 1, "red": 2}
-    row = transform(m, ["red", "cat"]).toarray()[0]
+    row = transform_docs(m, [["red", "cat"]]).toarray()[0]
     np.testing.assert_allclose(
         row, [0.8148024746671689, 0.0, 0.5797386715376657], atol=1e-15)
 
@@ -92,14 +92,14 @@ def test_sublinear_tf_ratio():
     # both terms have idf 1; doubled token gets tf 1 + ln 2
     cfg = TfidfConfig(ngram_lo=1, ngram_hi=1, min_df=1, sublinear=True)
     m = fit_tfidf([["red", "red", "cat"], ["red", "cat"]], cfg)
-    row = transform(m, ["red", "red", "cat"]).toarray()[0]
+    row = transform_docs(m, [["red", "red", "cat"]]).toarray()[0]
     assert row[m.terms["red"]] / row[m.terms["cat"]] \
         == pytest.approx(1.6931471805599454, abs=1e-12)
 
 
 def test_unknown_terms_give_zero_vector():
     m = fit_tfidf([["red", "cat"], ["red", "dog"]], UNIGRAMS)
-    row = transform(m, ["purple", "axolotl"])
+    row = transform_docs(m, [["purple", "axolotl"]])
     assert row.nnz == 0
 
 
@@ -109,7 +109,7 @@ def test_transform_docs_stacks_rows():
     X = transform_docs(m, docs)
     assert X.shape == (3, 3)
     for i, d in enumerate(docs):
-        np.testing.assert_array_equal(X[i].toarray(), transform(m, d).toarray())
+        np.testing.assert_array_equal(X[i].toarray(), transform_docs(m, [d]).toarray())
 
 
 @given(st.lists(st.lists(st.sampled_from("abcde"), min_size=0, max_size=8),

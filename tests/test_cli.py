@@ -265,6 +265,14 @@ def test_predict_without_checkpoints_is_data_error(tmp_path, users_file):
                  "--out", str(tmp_path / "p.jsonl")]) == 2
 
 
+def test_predict_on_six_byte_checkpoint_is_data_error(tmp_path, users_file, trained, capsys):
+    (tmp_path / "vocab.json").write_bytes((trained / "vocab.json").read_bytes())
+    (tmp_path / "fold0.gfus").write_bytes((trained / "fold0.gfus").read_bytes()[:6])
+    assert main(["predict", "--workdir", str(tmp_path), "--users", str(users_file),
+                 "--out", str(tmp_path / "p.jsonl")]) == 2
+    assert "truncated header" in capsys.readouterr().err
+
+
 def test_evaluate_reconstructs_fold_accuracy(tmp_path, capsys):
     # fold prob 0.4 for the voted gender means that fold backed the other one
     preds = [GenderPrediction.from_fold_probs("a", "female", [0.9]),

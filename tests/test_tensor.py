@@ -6,7 +6,6 @@ from genderfuse.errors import ShapeError, TrainingError
 from genderfuse.tensor import (
     Adam,
     BatchNormState,
-    SGD,
     Tensor,
     add,
     batch_norm,
@@ -66,16 +65,16 @@ def pool_oracle(x, valid_len):
 # ---------------------------------------------------------------------------
 
 def test_conv_all_ones_valid():
-    x = t64(np.ones((3, 2)))
+    x = t64(np.ones((1, 3, 2)))
     f = t64(np.ones((3, 2, 1)))
     out = conv1d(x, f, padding="valid")
-    assert out.data.shape == (1, 1)
-    assert out.data[0, 0] == pytest.approx(6.0)
+    assert out.data.shape == (1, 1, 1)
+    assert out.data[0, 0, 0] == pytest.approx(6.0)
 
 
 def test_conv_identity_filter_same():
     rng = np.random.default_rng(0)
-    x = t64(rng.standard_normal((6, 3)))
+    x = t64(rng.standard_normal((1, 6, 3)))
     f = np.zeros((3, 3, 3))
     f[1] = np.eye(3)  # unit impulse at j = offset, identity channel map
     out = conv1d(x, t64(f), padding="same")
@@ -93,9 +92,9 @@ def test_conv_matches_bruteforce_oracle(padding):
         x = rng.standard_normal((n, c_in))
         f = rng.standard_normal((w, c_in, c_out))
         b = rng.standard_normal(c_out)
-        got = conv1d(t64(x), t64(f), t64(b), padding=padding)
+        got = conv1d(t64(x[None]), t64(f), t64(b), padding=padding)
         want = conv1d_oracle(x, f, b, padding)
-        np.testing.assert_allclose(got.data, want, atol=1e-12)
+        np.testing.assert_allclose(got.data[0], want, atol=1e-12)
 
 
 def test_conv_batched_equals_per_row():
@@ -105,18 +104,25 @@ def test_conv_batched_equals_per_row():
     b = t64(rng.standard_normal(5))
     got = conv1d(t64(x), f, b, padding="same")
     for r in range(4):
-        row = conv1d(t64(x[r]), f, b, padding="same")
-        np.testing.assert_allclose(got.data[r], row.data, atol=1e-12)
+        row = conv1d(t64(x[r:r + 1]), f, b, padding="same")
+        np.testing.assert_allclose(got.data[r], row.data[0], atol=1e-12)
 
 
 def test_conv_valid_too_short():
     with pytest.raises(ShapeError, match="length 2"):
-        conv1d(t64(np.ones((2, 1))), t64(np.ones((3, 1, 1))), padding="valid")
+        conv1d(t64(np.ones((1, 2, 1))), t64(np.ones((3, 1, 1))), padding="valid")
+
+
+def test_kernels_reject_unbatched_input():
+    with pytest.raises(ShapeError, match="input shape"):
+        conv1d(t64(np.ones((4, 2))), t64(np.ones((3, 2, 1))))
+    with pytest.raises(ShapeError, match="batch, time, channels"):
+        max_over_time(t64(np.ones((4, 2))), 4)
 
 
 def test_conv_gradients():
     rng = np.random.default_rng(3)
-    x = t64(rng.standard_normal((5, 3)))
+    x = t64(rng.standard_normal((1, 5, 3)))
     f = t64(rng.standard_normal((2, 3, 4)))
     b = t64(rng.standard_normal(4))
     proj = np.random.default_rng(4)
@@ -186,28 +192,28 @@ def test_embedding_id_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_pool_example_and_single_row():
-    out = max_over_time(t64([[1.0, 5.0], [3.0, 2.0]]), 2)
-    np.testing.assert_array_equal(out.data, [3, 5])
-    single = max_over_time(t64([[7.0, -2.0]]), 1)
-    np.testing.assert_array_equal(single.data, [7, -2])
+    out = max_over_time(t64([[[1.0, 5.0], [3.0, 2.0]]]), [2])
+    np.testing.assert_array_equal(out.data, [[3, 5]])
+    single = max_over_time(t64([[[7.0, -2.0]]]), [1])
+    np.testing.assert_array_equal(single.data, [[7, -2]])
 
 
 def test_pool_respects_valid_len():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((6, 4))
-    out = max_over_time(t64(x), 3)
-    np.testing.assert_allclose(out.data, pool_oracle(x, 3))
+    out = max_over_time(t64(x[None]), [3])
+    np.testing.assert_allclose(out.data[0], pool_oracle(x, 3))
 
 
 def test_pool_zero_len_rejected():
     with pytest.raises(ShapeError, match="valid_len"):
-        max_over_time(t64(np.ones((2, 2))), 0)
+        max_over_time(t64(np.ones((1, 2, 2))), [0])
 
 
 def test_pool_tie_routes_gradient_to_first_row():
-    x = t64([[2.0, 0.0], [2.0, 0.0]])
-    tsum(max_over_time(x, 2)).backward()
-    np.testing.assert_array_equal(x.grad, [[1, 1], [0, 0]])
+    x = t64([[[2.0, 0.0], [2.0, 0.0]]])
+    tsum(max_over_time(x, [2])).backward()
+    np.testing.assert_array_equal(x.grad, [[[1, 1], [0, 0]]])
 
 
 def test_pool_batched_matches_per_row():
@@ -506,14 +512,6 @@ def test_adam_converges_on_quadratic():
     assert abs(w.data[0]) < 1e-3
 
 
-def test_sgd_step():
-    w = t64([1.0])
-    opt = SGD({"w": w}, lr=0.5)
-    w.grad = np.array([2.0])
-    opt.step()
-    assert w.data[0] == pytest.approx(0.0)
-
-
 # ---------------------------------------------------------------------------
 # grad_check harness itself
 # ---------------------------------------------------------------------------
@@ -540,6 +538,16 @@ def test_grad_check_flags_corrupted_gradient():
     report = grad_check(lambda: bad_square(w), {"w": w}, rng=np.random.default_rng(28))
     assert not report.passed
     assert "FAIL" in report.summary()
+
+
+def test_grad_check_retries_a_step_across_a_kink():
+    # at step 1e-5 the difference straddles relu's kink (slope 0.75, not 1);
+    # the retry at 1e-6 stays on one side
+    x = t64([5e-6, 1.0, 2.0])
+    report = grad_check(lambda: tsum(relu(x)), {"x": x}, samples_per_tensor=0,
+                        h=1e-5, rng=np.random.default_rng(31))
+    assert report.results[0].checked == 3
+    assert report.passed, report.summary()
 
 
 # ---------------------------------------------------------------------------

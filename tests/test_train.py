@@ -236,6 +236,23 @@ def test_train_cv_resume_rejects_changed_settings(cv_run):
                  workdir=workdir, min_word_freq=1)
 
 
+def test_train_cv_resume_rejects_changed_fold_count(tmp_path):
+    # fold i of a 2-fold run was trained on users a 3-fold run validates on
+    corpus = make_corpus(3)
+    train_cv(corpus, tiny_arch(), k=2, epochs=1, seed=3, workdir=tmp_path, min_word_freq=1)
+    with pytest.raises(TrainingError, match=r"differs in k\b.*fresh work directory"):
+        train_cv(corpus, tiny_arch(), k=3, epochs=1, seed=3, workdir=tmp_path,
+                 min_word_freq=1)
+
+
+def test_train_cv_resume_rejects_changed_architecture(tmp_path):
+    corpus = make_corpus(3)
+    train_cv(corpus, tiny_arch(), k=2, epochs=1, seed=3, workdir=tmp_path, min_word_freq=1)
+    with pytest.raises(TrainingError, match="differs in arch"):
+        train_cv(corpus, tiny_arch(variant="cnn", word_filters_per_width=6), k=2,
+                 epochs=1, seed=3, workdir=tmp_path, min_word_freq=1)
+
+
 def test_train_cv_rejects_vocab_mismatch(cv_run):
     _, _, workdir = cv_run
     other = [UserRecord(f"u{i}", GENDERS[i % 2], ["totally different words here"])
