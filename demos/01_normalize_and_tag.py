@@ -37,10 +37,11 @@ print(f"vocabulary: {vocab.n_words} word ids, {vocab.n_chars} char ids, "
 for word in ("the", "vaccine", "needles", "<url>"):
     print(f"  word_id({word!r}) = {vocab.word_id(word)}")
 
-# build_doc flattens a user's tweets into one token sequence with
-# word / char / tag ids per token
+# build_doc flattens a user's tweets into one token sequence and resolves
+# it to id arrays: word and tag ids per token, and a PAD-filled char matrix
 doc = build_doc(corpus[0], vocab)
-tok = doc.tokens[0]
-print(f"\nfirst token of user 'a': {tok.surface!r}")
-print(f"  char ids: {tok.chars}")
-print(f"  pos id  : {tok.pos}")
+print(f"\nuser 'a': {len(doc.tokens)} tokens, char matrix {doc.char_ids.shape}")
+print(f"first token: {doc.tokens[0]!r}")
+print(f"  word id : {doc.word_ids[0]}")
+print(f"  char ids: {doc.char_ids[0].tolist()}")
+print(f"  pos id  : {doc.pos_ids[0]}")

@@ -37,7 +37,7 @@ with tempfile.TemporaryDirectory() as tmp:
         vocab = Vocab.from_json(json.loads(
             (workdir / "vocab.json").read_text(encoding="utf-8")))
         docs = [build_doc(u, vocab) for u in held_out]
-        preds = predict_ensemble([fr.checkpoint for fr in folds], docs, vocab)
+        preds = predict_ensemble([fr.checkpoint for fr in folds], docs)
         voting = evaluate(preds, held_out)
         report.add(column, [fr.test_accuracy for fr in folds], voting)
         accs = " ".join(f"{fr.test_accuracy:.2f}" for fr in folds)

@@ -279,7 +279,7 @@ def _cmd_train(args) -> int:
     # vote on the held-out corpus when there is one, else in sample
     eval_corpus = test if test is not None else corpus
     docs = [build_doc(u, vocab) for u in eval_corpus]
-    preds = predict_ensemble([fr.checkpoint for fr in results], docs, vocab)
+    preds = predict_ensemble([fr.checkpoint for fr in results], docs)
     voting = voting_accuracy(preds, eval_corpus)
     fold_accs = [fr.test_accuracy if fr.test_accuracy is not None
                  else max(fr.val_trace) for fr in results]
@@ -322,8 +322,7 @@ def _cmd_predict(args) -> int:
         raise CorpusError(f"{workdir}: no fold checkpoints found")
     users = read_users_jsonl(args.users)
     docs = [build_doc(u, vocab) for u in users]
-    preds = predict_ensemble(checkpoints, docs, vocab,
-                             batch_size=args.batch_size)
+    preds = predict_ensemble(checkpoints, docs, batch_size=args.batch_size)
     write_predictions_jsonl(preds, args.out)
     print(f"predicted {len(preds)} authors with {len(checkpoints)} fold models "
           f"-> {args.out}")
@@ -461,7 +460,7 @@ def _gradcheck_setup(seed: int):
     vocab = build_vocab(corpus, min_word_freq=1)
     docs = [build_doc(u, vocab) for u in corpus]
     labels = [gender_index(u.gender) for u in corpus]
-    batch = make_batch(docs, vocab, labels)
+    batch = make_batch(docs, labels)
     params = init_params(arch, vocab, seed=seed, dtype=np.float64)
     # keep the normalized activations alive; a mostly dead layer has
     # gradients down in the finite-difference noise

@@ -54,6 +54,8 @@ class UserRecord:
     tweets: list[str]
 
     def __post_init__(self):
+        if not isinstance(self.user_id, str):
+            raise TypeError(f"user_id must be a string, got {self.user_id!r}")
         if not self.user_id:
             raise CorpusError("user_id must be non-empty")
         if self.gender is not None and self.gender not in GENDERS:
@@ -166,6 +168,12 @@ def write_users_jsonl(corpus, path) -> None:
                        for u in corpus))
 
 
+def _bad_record(path, lineno: int, exc: Exception) -> CorpusError:
+    """A non-object line, a missing or mistyped field, or a value that does not convert."""
+    what = f"missing field {exc}" if isinstance(exc, KeyError) else f"malformed record: {exc}"
+    return CorpusError(f"{path}, line {lineno}: {what}")
+
+
 def read_users_jsonl(path) -> list[UserRecord]:
     users: list[UserRecord] = []
     seen: dict[str, int] = {}
@@ -176,8 +184,8 @@ def read_users_jsonl(path) -> list[UserRecord]:
                 gender=_parse_gender(obj.get("gender"), where=f"{path}, line {lineno}"),
                 tweets=list(obj["tweets"]),
             )
-        except KeyError as exc:
-            raise CorpusError(f"{path}, line {lineno}: missing field {exc}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise _bad_record(path, lineno, exc) from exc
         if user.user_id in seen:
             raise CorpusError(
                 f"{path}: duplicate user_id {user.user_id!r} on lines "
@@ -204,8 +212,8 @@ def read_labeled_tweets_jsonl(path) -> list[LabeledTweet]:
                 hbm_constructs=frozenset(obj.get("hbm", ())),
                 tpb_attitude=obj.get("tpb"),
             ))
-        except KeyError as exc:
-            raise CorpusError(f"{path}, line {lineno}: missing field {exc}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise _bad_record(path, lineno, exc) from exc
     return tweets
 
 
@@ -226,12 +234,12 @@ def read_predictions_jsonl(path) -> list[GenderPrediction]:
                 fold_probs=[float(p) for p in obj["fold_probs"]],
                 avg_prob=float(obj["avg_prob"]),
             )
-        except KeyError as exc:
-            raise CorpusError(f"{path}, line {lineno}: missing field {exc}") from exc
-        if pred.user_id in seen:
+            first = seen.setdefault(pred.user_id, lineno)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise _bad_record(path, lineno, exc) from exc
+        if first != lineno:
             raise CorpusError(f"{path}: duplicate user_id {pred.user_id!r} on lines "
-                              f"{seen[pred.user_id]} and {lineno}")
-        seen[pred.user_id] = lineno
+                              f"{first} and {lineno}")
         preds.append(pred)
     return preds
 

@@ -14,7 +14,7 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import CheckpointError, GenderfuseError
+from .errors import CheckpointError, CorpusError, GenderfuseError
 
 
 @contextmanager
@@ -44,14 +44,15 @@ def write_jsonl(path, records) -> None:
 
 def iter_jsonl(path):
     """Yield ``(line_number, object)`` pairs; line numbers are 1-based."""
-    with open(path, encoding="utf-8") as fh:
+    # decoded line by line, so bytes that are not UTF-8 are named by line too
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+                yield lineno, json.loads(line.decode("utf-8"))
+            except ValueError as exc:
+                raise CorpusError(f"{path}, line {lineno}: {exc}") from exc
 
 
 def write_json(path, obj) -> None:

@@ -231,30 +231,31 @@ class Batch:
         return self.word_ids.shape[0]
 
 
-def make_batch(docs, vocab, labels=None) -> Batch:
-    """Pad a list of TokenizedDocs to common token/char lengths."""
+def make_batch(docs, labels=None) -> Batch:
+    """Pad and stack TokenizedDocs that share one vocabulary fingerprint.
+
+    ``char_lens`` counts each token's nonzero char ids (every real character
+    has an id of at least 1), clamped to >= 1 at padded positions.
+    """
     if not docs:
         raise ShapeError("make_batch: empty document list")
-    b = len(docs)
-    t_max = max(len(d.tokens) for d in docs)
-    c_max = max((len(tok.chars) for d in docs for tok in d.tokens), default=1)
-    c_max = max(c_max, 1)
-    word_ids = np.zeros((b, t_max), dtype=np.int64)
-    pos_ids = np.zeros((b, t_max), dtype=np.int64)
-    char_ids = np.zeros((b, t_max, c_max), dtype=np.int64)
-    char_lens = np.ones((b, t_max), dtype=np.int64)
-    doc_lens = np.zeros(b, dtype=np.int64)
-    for r, doc in enumerate(docs):
-        doc_lens[r] = len(doc.tokens)
-        for t, tok in enumerate(doc.tokens):
-            word_ids[r, t] = vocab.word_id(tok.surface)
-            pos_ids[r, t] = tok.pos
-            char_ids[r, t, :len(tok.chars)] = tok.chars
-            char_lens[r, t] = max(1, len(tok.chars))
+    fingerprints = {d.fingerprint for d in docs}
+    if len(fingerprints) > 1:
+        raise CheckpointError(f"make_batch: docs mix vocab fingerprints {sorted(fingerprints)}")
+    doc_lens = np.array([len(d.word_ids) for d in docs], dtype=np.int64)
+    word_ids = np.zeros((len(docs), doc_lens.max()), dtype=np.int64)
+    pos_ids = np.zeros_like(word_ids)
+    char_ids = np.zeros((*word_ids.shape, max(d.char_ids.shape[1] for d in docs)), dtype=np.int64)
+    for r, d in enumerate(docs):
+        n, c = d.char_ids.shape
+        word_ids[r, :n] = d.word_ids
+        pos_ids[r, :n] = d.pos_ids
+        char_ids[r, :n, :c] = d.char_ids
     return Batch(word_ids=word_ids, pos_ids=pos_ids, char_ids=char_ids,
-                 char_lens=char_lens, doc_lens=doc_lens,
+                 char_lens=np.maximum(np.count_nonzero(char_ids, axis=2), 1),
+                 doc_lens=doc_lens,
                  labels=None if labels is None else np.asarray(labels, dtype=np.int64),
-                 fingerprint=vocab.fingerprint())
+                 fingerprint=fingerprints.pop())
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +330,12 @@ def train_step(params: ModelParams, batch: Batch, opt: Adam,
     return value
 
 
-def predict_probs(params: ModelParams, docs, vocab, batch_size: int | None = None) -> np.ndarray:
+def predict_probs(params: ModelParams, docs, batch_size: int | None = None) -> np.ndarray:
     """Eval-mode class probabilities for a list of docs, chunked into batches."""
     bs = batch_size or params.arch.batch_size
     out = []
     for lo in range(0, len(docs), bs):
-        batch = make_batch(docs[lo:lo + bs], vocab)
+        batch = make_batch(docs[lo:lo + bs])
         out.append(forward(params, batch, mode="eval")[1])
     return np.concatenate(out, axis=0) if out else np.zeros((0, 2))
 

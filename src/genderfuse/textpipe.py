@@ -26,9 +26,11 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import TextPipeError
-from .ioutil import iter_jsonl
 
 # ---------------------------------------------------------------------------
 # normalization
@@ -321,12 +323,19 @@ def _tag_map() -> dict[str, int]:
 
 
 class Vocab:
-    """Frozen word / character / POS-tag id maps; PAD is id 0 in every map."""
+    """Frozen word / character / POS-tag id maps; PAD is id 0 in every map.
+
+    The maps are never mutated, so the fingerprint is hashed once, here.
+    """
 
     def __init__(self, words: dict[str, int]):
         self.words = dict(words)
         self.chars = _char_map()
         self.tags = _tag_map()
+        payload = json.dumps(
+            [sorted(self.words.items(), key=lambda kv: kv[1]), len(self.chars), len(self.tags)],
+            ensure_ascii=False)
+        self._fingerprint = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     @property
     def n_words(self) -> int:
@@ -350,10 +359,7 @@ class Vocab:
         return self.tags.get(tag, UNK_ID)
 
     def fingerprint(self) -> str:
-        payload = json.dumps(
-            [sorted(self.words.items(), key=lambda kv: kv[1]), len(self.chars), len(self.tags)],
-            ensure_ascii=False)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return self._fingerprint
 
     def to_json(self) -> dict:
         by_id = sorted(self.words.items(), key=lambda kv: kv[1])
@@ -394,58 +400,39 @@ MAX_TOKEN_CHARS = 20
 MAX_DOC_TOKENS = 4000
 
 
-@dataclass
-class Token:
-    surface: str
-    chars: list[int]
-    pos: int
-
-
-@dataclass
+@dataclass(eq=False)
 class TokenizedDoc:
+    """One author's T tokens, resolved to ids by the vocabulary ``fingerprint`` names.
+
+    ``word_ids`` and ``pos_ids`` are int64 (T,); ``char_ids`` is int64 (T, C), each
+    row a token's char ids then PAD, C its longest token capped at ``MAX_TOKEN_CHARS``.
+    """
+
     user_id: str
-    tokens: list[Token]
+    tokens: list[str]
+    word_ids: np.ndarray
+    pos_ids: np.ndarray
+    char_ids: np.ndarray
+    fingerprint: str
 
 
-def build_doc(user, vocab: Vocab, *, max_doc_tokens: int = MAX_DOC_TOKENS,
-              max_token_chars: int = MAX_TOKEN_CHARS,
-              pos_override: list[str] | None = None) -> TokenizedDoc:
-    """Normalize, tokenize, and tag all tweets of one user into a single doc.
+def build_doc(user, vocab: Vocab) -> TokenizedDoc:
+    """Normalize, tokenize, tag and resolve all tweets of one user into one doc.
 
     Tweets are concatenated in order and the token stream is truncated
-    head-preserving at ``max_doc_tokens``.  ``pos_override``, when given,
-    must supply one tag per token of the built doc.
+    head-preserving at ``MAX_DOC_TOKENS``.
     """
-    tokens: list[Token] = []
+    tokens: list[str] = []
     for toks in tokenize_tweets(user.tweets):
-        for surface, tag in zip(toks, pos_tag(toks)):
-            tokens.append(Token(
-                surface=surface,
-                chars=vocab.char_ids(surface, max_token_chars),
-                pos=vocab.tag_id(tag),
-            ))
-            if len(tokens) >= max_doc_tokens:
-                break
-        if len(tokens) >= max_doc_tokens:
-            break
+        tokens += toks[:MAX_DOC_TOKENS - len(tokens)]
     if not tokens:
         raise TextPipeError(f"user {user.user_id!r}: no tokens survive preprocessing")
-    if pos_override is not None:
-        if len(pos_override) != len(tokens):
-            raise TextPipeError(
-                f"user {user.user_id!r}: POS override has {len(pos_override)} tags "
-                f"for {len(tokens)} tokens")
-        for tok, tag in zip(tokens, pos_override):
-            tok.pos = vocab.tag_id(tag)
-    return TokenizedDoc(user_id=user.user_id, tokens=tokens)
-
-
-def load_pos_overrides(path) -> dict[str, list[str]]:
-    """Read the optional JSONL override file {"user_id": ..., "tags": [...]}."""
-    overrides: dict[str, list[str]] = {}
-    for lineno, obj in iter_jsonl(path):
-        try:
-            overrides[obj["user_id"]] = [str(t) for t in obj["tags"]]
-        except KeyError as exc:
-            raise TextPipeError(f"{path}, line {lineno}: missing field {exc}") from exc
-    return overrides
+    chars = [vocab.char_ids(t, MAX_TOKEN_CHARS) for t in tokens]
+    lens = np.fromiter(map(len, chars), dtype=np.int64)
+    char_ids = np.zeros((len(tokens), lens.max()), dtype=np.int64)
+    char_ids[np.arange(lens.max()) < lens[:, None]] = list(chain.from_iterable(chars))
+    return TokenizedDoc(
+        user_id=user.user_id, tokens=tokens,
+        word_ids=np.fromiter(map(vocab.word_id, tokens), dtype=np.int64),
+        pos_ids=np.fromiter(map(vocab.tag_id, pos_tag(tokens)), dtype=np.int64),
+        char_ids=char_ids, fingerprint=vocab.fingerprint())

@@ -173,10 +173,10 @@ def _run_fold(fold: int, train_docs, train_labels, val_docs, val_labels,
                 idx = order[lo:lo + arch.batch_size]
                 if len(idx) < 2:
                     continue        # batch norm is undefined on a single row
-                batch = make_batch([train_docs[j] for j in idx], vocab,
+                batch = make_batch([train_docs[j] for j in idx],
                                    [train_labels[j] for j in idx])
                 train_step(params, batch, opt, rng)
-            acc = _accuracy(predict_probs(params, val_docs, vocab), val_labels)
+            acc = _accuracy(predict_probs(params, val_docs), val_labels)
             trace.append(acc)
             if acc > best:          # strict: the first maximum wins
                 best, best_epoch = acc, epoch
@@ -189,7 +189,7 @@ def _run_fold(fold: int, train_docs, train_labels, val_docs, val_labels,
     test_acc = None
     if error is None and test_docs is not None:
         bestp = load_params(ckpt_path, expect_fingerprint=vocab.fingerprint())
-        test_acc = _accuracy(predict_probs(bestp, test_docs, vocab), test_labels)
+        test_acc = _accuracy(predict_probs(bestp, test_docs), test_labels)
     return FoldResult(fold=fold, checkpoint=None if error else str(ckpt_path),
                       val_trace=trace, best_epoch=best_epoch,
                       test_accuracy=test_acc, error=error)
@@ -329,27 +329,26 @@ def vote_probs(all_probs) -> tuple[np.ndarray, np.ndarray]:
     return voted, fold_probs
 
 
-def predict_ensemble(checkpoints, docs, vocab: Vocab,
+def predict_ensemble(checkpoints, docs,
                      batch_size: int | None = None) -> list[GenderPrediction]:
     """Voted predictions from k models over tokenized documents.
 
     ``checkpoints`` may be paths or loaded :class:`ModelParams`; all members
-    must share the architecture and the vocabulary fingerprint.
+    must share the architecture and the vocabulary fingerprint of the docs.
     """
     models = [c if isinstance(c, ModelParams) else load_params(c)
               for c in checkpoints]
     if not models:
         raise CheckpointError("ensemble needs at least one model")
-    fp = vocab.fingerprint()
+    fp = docs[0].fingerprint if docs else models[0].fingerprint
     for m in models:
         if m.fingerprint != fp:
             raise CheckpointError(
                 f"model vocab fingerprint {m.fingerprint} does not match "
-                f"the supplied vocabulary {fp}")
+                f"the documents' vocabulary {fp}")
         if m.arch != models[0].arch:
             raise CheckpointError("ensemble members disagree on architecture")
-    all_probs = np.stack([predict_probs(m, docs, vocab, batch_size)
-                          for m in models])
+    all_probs = np.stack([predict_probs(m, docs, batch_size) for m in models])
     voted, fold_probs = vote_probs(all_probs)
     return [GenderPrediction.from_fold_probs(doc.user_id, GENDERS[voted[i]],
                                              fold_probs[:, i])

@@ -119,7 +119,7 @@ def char_runs(tmp_path_factory):
         vocab = Vocab.from_json(json.loads(
             (root / variant / "vocab.json").read_text(encoding="utf-8")))
         docs = [build_doc(u, vocab) for u in held_out]
-        preds = predict_ensemble([fr.checkpoint for fr in frs], docs, vocab)
+        preds = predict_ensemble([fr.checkpoint for fr in frs], docs)
         runs[variant] = SimpleNamespace(frs=frs, vocab=vocab, docs=docs,
                                         voting=evaluate(preds, held_out),
                                         preds=preds)
@@ -137,8 +137,8 @@ def test_criterion_3_learning_capability(char_runs):
 
 def test_criterion_4_protocol_fidelity(char_runs):
     run = char_runs.fused
-    single = predict_ensemble([run.frs[0].checkpoint], run.docs, run.vocab)
-    five = predict_ensemble([run.frs[0].checkpoint] * 5, run.docs, run.vocab)
+    single = predict_ensemble([run.frs[0].checkpoint], run.docs)
+    five = predict_ensemble([run.frs[0].checkpoint] * 5, run.docs)
     clones_exact = all(a.voted_gender == b.voted_gender
                        for a, b in zip(single, five))
     probs_close = all(abs(a.avg_prob - b.avg_prob) < 1e-12

@@ -273,6 +273,36 @@ def test_predict_on_six_byte_checkpoint_is_data_error(tmp_path, users_file, trai
     assert "truncated header" in capsys.readouterr().err
 
 
+USER_OK = '{"user_id": "a", "gender": "female", "tweets": ["hi there"]}'
+TWEET_OK = '{"tweet_id": "t1", "user_id": "a", "year": 2015, "hbm": [], "tpb": null}'
+PRED_OK = '{"user_id": "a", "gender": "male", "fold_probs": [0.9], "avg_prob": 0.9}'
+
+
+@pytest.mark.parametrize("command, good, bad", [
+    ("train", USER_OK, '{"user_id": "b", "tweets": ["x"]'),
+    ("train", USER_OK, '{"user_id": "b", "tweets": ["\xff"]}'),
+    ("train", USER_OK, '["b", "male", ["x"]]'),
+    ("train", USER_OK, '{"user_id": "b", "gender": "male", "tweets": 5}'),
+    ("train", USER_OK, '{"user_id": "b", "gender": "male", "tweets": [5]}'),
+    ("train", USER_OK, '{"user_id": 7, "gender": "male", "tweets": ["x"]}'),
+    ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": "a", "year": "x"}'),
+    ("evaluate", PRED_OK, '{"user_id": "b", "gender": "male", "fold_probs": 5, "avg_prob": 1}'),
+])
+def test_malformed_jsonl_is_data_error_naming_line(tmp_path, capsys, command, good, bad):
+    path = tmp_path / "bad.jsonl"
+    # latin-1 keeps the \xff case a byte that is not UTF-8
+    path.write_bytes((good + "\n" + bad + "\n").encode("latin-1"))
+    argv = {
+        "train": ["train", "--users", str(path), "--workdir", str(tmp_path / "w"),
+                  "--seed", "1", *TINY],
+        "analyze": ["analyze", "--tweets", str(path), "--preds", str(tmp_path / "p.jsonl"),
+                    "--out", str(tmp_path / "fig.csv")],
+        "evaluate": ["evaluate", "--preds", str(path), "--truth", str(tmp_path / "u.jsonl")],
+    }[command]
+    assert main(argv) == 2
+    assert f"{path}, line 2:" in capsys.readouterr().err
+
+
 def test_evaluate_reconstructs_fold_accuracy(tmp_path, capsys):
     # fold prob 0.4 for the voted gender means that fold backed the other one
     preds = [GenderPrediction.from_fold_probs("a", "female", [0.9]),

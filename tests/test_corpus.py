@@ -145,7 +145,7 @@ def test_users_jsonl_duplicate_ids_name_both_lines(tmp_path):
 def test_users_jsonl_parse_error_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"user_id": "a", "gender": null, "tweets": ["x"]}\n{oops\n')
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(CorpusError, match="line 2"):
         read_users_jsonl(path)
 
 

@@ -1,5 +1,9 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genderfuse.corpus import UserRecord, gender_index
 from genderfuse.errors import CheckpointError, ConfigError, ShapeError
@@ -17,7 +21,8 @@ from genderfuse.model import (
 )
 from genderfuse.tensor import (Adam, add, conv1d, embedding_lookup, grad_check, l2_penalty,
                                max_over_time, relu, softmax_xent)
-from genderfuse.textpipe import build_doc, build_vocab
+from genderfuse.textpipe import (MAX_DOC_TOKENS, MAX_TOKEN_CHARS, build_doc, build_vocab,
+                                 pos_tag, tokenize_tweets)
 
 
 def tiny_arch(**kw):
@@ -190,11 +195,11 @@ def test_batched_char_summaries_match_single(setup):
     from genderfuse.model import _char_summaries
     _, vocab, docs, _ = setup
     p = init_params(tiny_arch(), vocab, dtype=np.float64, seed=7)
-    batch = make_batch(docs, vocab)
+    batch = make_batch(docs)
     summaries = _char_summaries(p, batch).data
     doc, row = docs[1], 1
-    for t, tok in enumerate(doc.tokens):
-        single = char_layer(p, tok.chars)
+    for t, chars in enumerate(doc.char_ids):
+        single = char_layer(p, chars[chars != 0])
         np.testing.assert_allclose(summaries[row, t], single, atol=1e-12)
 
 
@@ -202,9 +207,72 @@ def test_batched_char_summaries_match_single(setup):
 # batching and forward
 # ---------------------------------------------------------------------------
 
+def make_batch_oracle(users, vocab, labels=None) -> Batch:
+    """Per-token padding loop over raw users, resolving every id in place."""
+    streams = []
+    for u in users:
+        toks = [t for tweet in tokenize_tweets(u.tweets) for t in tweet][:MAX_DOC_TOKENS]
+        streams.append([(vocab.word_id(t), vocab.char_ids(t, MAX_TOKEN_CHARS), vocab.tag_id(g))
+                        for t, g in zip(toks, pos_tag(toks))])
+    b = len(streams)
+    t_max = max(len(s) for s in streams)
+    c_max = max(len(chars) for s in streams for _, chars, _ in s)
+    word_ids = np.zeros((b, t_max), dtype=np.int64)
+    pos_ids = np.zeros((b, t_max), dtype=np.int64)
+    char_ids = np.zeros((b, t_max, c_max), dtype=np.int64)
+    char_lens = np.ones((b, t_max), dtype=np.int64)
+    doc_lens = np.zeros(b, dtype=np.int64)
+    for r, stream in enumerate(streams):
+        doc_lens[r] = len(stream)
+        for t, (word, chars, pos) in enumerate(stream):
+            word_ids[r, t] = word
+            pos_ids[r, t] = pos
+            char_ids[r, t, :len(chars)] = chars
+            char_lens[r, t] = max(1, len(chars))
+    return Batch(word_ids=word_ids, pos_ids=pos_ids, char_ids=char_ids,
+                 char_lens=char_lens, doc_lens=doc_lens,
+                 labels=None if labels is None else np.asarray(labels, dtype=np.int64),
+                 fingerprint=vocab.fingerprint())
+
+
+_WORDS = st.one_of(
+    st.sampled_from(["the", "cat", "runs", "happy", "<3", ":)", "wow!!!", "#tag", "@bob"]),
+    st.text(alphabet="abcxyz", min_size=MAX_TOKEN_CHARS + 1, max_size=30),
+    st.text(alphabet="aéüßж€😀", min_size=1, max_size=6),
+    st.text(alphabet=string.ascii_letters + string.digits + "'!?.,", min_size=1, max_size=8),
+)
+_TWEETS = st.lists(_WORDS, min_size=1, max_size=8).map(" ".join)
+# the fixed users add a one-token doc and a long, non-ASCII token to every corpus
+_FIXED = [UserRecord("one", "male", ["hi"]),
+          UserRecord("long", "female", ["supercalifragilisticexpialidocious naïve"])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tweets=st.lists(st.lists(_TWEETS, min_size=1, max_size=3), min_size=1, max_size=5),
+       vocab_users=st.integers(1, 7))
+def test_make_batch_matches_per_token_oracle(tweets, vocab_users):
+    users = _FIXED + [UserRecord(f"u{i}", "female", tw) for i, tw in enumerate(tweets)]
+    # a vocabulary from a prefix of the users leaves the rest with OOV words
+    vocab = build_vocab(users[:vocab_users], min_word_freq=1)
+    labels = [i % 2 for i in range(len(users))]
+    got = make_batch([build_doc(u, vocab) for u in users], labels)
+    want = make_batch_oracle(users, vocab, labels)
+    for name in ("word_ids", "pos_ids", "char_ids", "char_lens", "doc_lens", "labels"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        np.testing.assert_array_equal(g, w, err_msg=name)
+    assert got.fingerprint == want.fingerprint
+
+
+def test_make_batch_rejects_mixed_vocabularies(setup):
+    corpus, vocab, docs, _ = setup
+    other = build_doc(corpus[0], build_vocab(corpus, min_word_freq=2))
+    with pytest.raises(CheckpointError, match="fingerprint"):
+        make_batch([docs[1], other])
+
 def test_make_batch_shapes_and_padding(setup):
     _, vocab, docs, labels = setup
-    batch = make_batch(docs, vocab, labels)
+    batch = make_batch(docs, labels)
     b = len(docs)
     t_max = max(len(d.tokens) for d in docs)
     assert batch.word_ids.shape == (b, t_max)
@@ -215,7 +283,7 @@ def test_make_batch_shapes_and_padding(setup):
     assert np.all(batch.char_lens >= 1)
     assert batch.fingerprint == vocab.fingerprint()
     with pytest.raises(ShapeError, match="empty"):
-        make_batch([], vocab)
+        make_batch([])
 
 
 @pytest.mark.parametrize("variant", ["cnn", "cnn_char", "cnn_char_pos"])
@@ -223,7 +291,7 @@ def test_forward_shapes_and_probs(setup, variant):
     _, vocab, docs, labels = setup
     arch = tiny_arch(variant=variant)
     p = init_params(arch, vocab, seed=8)
-    batch = make_batch(docs, vocab, labels)
+    batch = make_batch(docs, labels)
     logits, probs = forward(p, batch, mode="eval")
     assert logits.data.shape == (4, 2)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
@@ -248,7 +316,7 @@ def test_forward_shape_audit_random_configs(setup):
             dense_units=int(rng.integers(2, 9)),
         )
         p = init_params(arch, vocab, seed=int(rng.integers(100)))
-        logits, probs = forward(p, make_batch(docs, vocab), mode="eval")
+        logits, probs = forward(p, make_batch(docs), mode="eval")
         assert logits.data.shape == (len(docs), 2)
         assert np.isfinite(probs).all()
 
@@ -256,7 +324,7 @@ def test_forward_shape_audit_random_configs(setup):
 def test_forward_eval_deterministic(setup):
     _, vocab, docs, _ = setup
     p = init_params(tiny_arch(), vocab, seed=10)
-    batch = make_batch(docs, vocab)
+    batch = make_batch(docs)
     _, p1 = forward(p, batch, mode="eval")
     _, p2 = forward(p, batch, mode="eval")
     np.testing.assert_array_equal(p1, p2)
@@ -266,8 +334,8 @@ def test_forward_batch_composition_invariance(setup):
     # a doc's probabilities must not depend on what it is batched with
     _, vocab, docs, _ = setup
     p = init_params(tiny_arch(), vocab, seed=12)
-    alone = predict_probs(p, [docs[0]], vocab)
-    together = predict_probs(p, docs, vocab)
+    alone = predict_probs(p, [docs[0]])
+    together = predict_probs(p, docs)
     np.testing.assert_allclose(alone[0], together[0], atol=1e-6)
 
 
@@ -275,7 +343,7 @@ def test_forward_rejects_foreign_vocab(setup):
     corpus, vocab, docs, _ = setup
     p = init_params(tiny_arch(), vocab, seed=13)
     other_vocab = build_vocab(corpus, min_word_freq=2)
-    batch = make_batch([build_doc(corpus[0], other_vocab)], other_vocab)
+    batch = make_batch([build_doc(corpus[0], other_vocab)])
     with pytest.raises(CheckpointError, match="fingerprint"):
         forward(p, batch)
 
@@ -295,7 +363,7 @@ def test_variant_nesting_zeroed_extras_equals_cnn(setup):
         full.tensors[f"word_conv_b{w}"].data[:] = word_only.tensors[f"word_conv_b{w}"].data
     for name in ("dense_w", "dense_b", "bn_gamma", "bn_beta", "out_w", "out_b"):
         full.tensors[name].data[:] = word_only.tensors[name].data
-    batch = make_batch(docs, vocab)
+    batch = make_batch(docs)
     logits_full, _ = forward(full, batch, mode="eval")
     logits_cnn, _ = forward(word_only, batch, mode="eval")
     np.testing.assert_allclose(logits_full.data, logits_cnn.data, rtol=0, atol=1e-12)
@@ -310,7 +378,7 @@ def test_overfit_small_corpus(setup):
     arch = tiny_arch(lr=0.01, l2=0.0)
     p = init_params(arch, vocab, seed=16)
     opt = Adam(p.trainable(), lr=arch.lr)
-    batch = make_batch(docs, vocab, labels)
+    batch = make_batch(docs, labels)
     rng = np.random.default_rng(17)
     losses = [train_step(p, batch, opt, rng) for _ in range(50)]
     assert losses[-1] < 0.05
@@ -319,7 +387,7 @@ def test_overfit_small_corpus(setup):
 
 def test_l2_bookkeeping_at_first_step(setup):
     _, vocab, docs, labels = setup
-    batch = make_batch(docs, vocab, labels)
+    batch = make_batch(docs, labels)
 
     def first_loss(l2):
         arch = tiny_arch(l2=l2)
@@ -340,7 +408,7 @@ def test_pad_rows_stay_zero_after_training(setup):
     arch = tiny_arch(lr=0.01)
     p = init_params(arch, vocab, seed=20)
     opt = Adam(p.trainable(), lr=arch.lr)
-    batch = make_batch(docs, vocab, labels)
+    batch = make_batch(docs, labels)
     rng = np.random.default_rng(21)
     for _ in range(20):
         train_step(p, batch, opt, rng)
@@ -357,7 +425,7 @@ def test_full_model_gradients(setup):
     # ~1e-8 gradients where finite-difference noise swamps the relative error
     p.tensors["bn_beta"].data[:] = 0.3 + 0.05 * np.arange(8)
     p.tensors["dense_b"].data[:] = 0.4 + 0.1 * np.arange(8)
-    batch = make_batch(docs, vocab, labels)
+    batch = make_batch(docs, labels)
 
     def loss():
         logits, _ = forward(p, batch, mode="eval")
@@ -378,7 +446,7 @@ def test_checkpoint_roundtrip_bitwise(setup, tmp_path):
     p = init_params(tiny_arch(), vocab, seed=24)
     # make running stats non-trivial before saving
     opt = Adam(p.trainable(), lr=0.01)
-    train_step(p, make_batch(docs, vocab, labels), opt, np.random.default_rng(25))
+    train_step(p, make_batch(docs, labels), opt, np.random.default_rng(25))
     path = tmp_path / "model.gfus"
     save_params(p, path)
     q = load_params(path)
@@ -390,8 +458,8 @@ def test_checkpoint_roundtrip_bitwise(setup, tmp_path):
     np.testing.assert_array_equal(q.bn_state.mean, p.bn_state.mean)
     np.testing.assert_array_equal(q.bn_state.var, p.bn_state.var)
     # and the loaded model predicts identically
-    np.testing.assert_array_equal(predict_probs(p, docs, vocab),
-                                  predict_probs(q, docs, vocab))
+    np.testing.assert_array_equal(predict_probs(p, docs),
+                                  predict_probs(q, docs))
 
 
 def test_checkpoint_corrupt_magic(setup, tmp_path):

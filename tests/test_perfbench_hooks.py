@@ -1,13 +1,15 @@
 """The benchmark's tracer finds every genderfuse name it wraps.
 
 A rename of a traced function would otherwise zero its per-layer metrics
-without failing anything.
+without failing anything, and a change of the document or batch shape
+would otherwise break the counters of a traced run.
 """
 
 from pathlib import Path
 
 import genderfuse.cli  # noqa: F401  (imports every module the tracer patches)
-from genderfuse import model, tensor
+from genderfuse import model, tensor, textpipe
+from genderfuse.corpus import UserRecord
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,3 +26,21 @@ def test_tracer_installs_without_missing_targets(monkeypatch):
     finally:
         restore()
     assert (model.make_batch, model._char_summaries, tensor.Tensor.backward) == originals
+
+
+def test_traced_counters_see_docs_and_batches(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    user = UserRecord("a", "female", ["the cat sat on the mat", "hello there"])
+    vocab = textpipe.build_vocab([user], min_word_freq=1)
+    tr = tracing.Tracer()
+    restore, _ = tracing.install(tr)
+    try:
+        doc = textpipe.build_doc(user, vocab)
+        model.make_batch([doc])
+    finally:
+        restore()
+    assert tr.counts["textpipe.build_doc.tokens"] == len(doc.tokens) > 0
+    assert tr.counts["model.make_batch.real_tokens"] > 0
+    assert tr.counts["model.char_rows.unique"] > 0

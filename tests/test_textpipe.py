@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from genderfuse.corpus import UserRecord
 from genderfuse.errors import TextPipeError
-from genderfuse.ioutil import write_jsonl
 from genderfuse.textpipe import (
     LEXICON,
+    MAX_DOC_TOKENS,
     MARKER_TAG,
     PAD_ID,
     TAGSET,
@@ -18,7 +18,6 @@ from genderfuse.textpipe import (
     Vocab,
     build_doc,
     build_vocab,
-    load_pos_overrides,
     normalize,
     pos_tag,
     tag_word,
@@ -202,26 +201,29 @@ def test_build_doc_concatenates_in_tweet_order():
     u = _user("u1", ["one two three", "four five six"])
     v = build_vocab([u], min_word_freq=1)
     doc = build_doc(u, v)
-    assert [t.surface for t in doc.tokens] == \
-        ["one", "two", "three", "four", "five", "six"]
+    assert doc.tokens == ["one", "two", "three", "four", "five", "six"]
     assert doc.user_id == "u1"
 
 
 def test_build_doc_truncates_head_preserving():
-    u = _user("u1", ["a b c d", "e f g h"])
+    words = ["alpha"] + ["beta", "gamma"] * (MAX_DOC_TOKENS // 2) + ["delta", "omega"]
+    assert len(words) == MAX_DOC_TOKENS + 3
+    u = _user("u1", [" ".join(words[:10]), " ".join(words[10:])])
     v = build_vocab([u], min_word_freq=1)
-    doc = build_doc(u, v, max_doc_tokens=5)
-    assert [t.surface for t in doc.tokens] == ["a", "b", "c", "d", "e"]
+    doc = build_doc(u, v)
+    assert doc.tokens == words[:MAX_DOC_TOKENS]
+    assert doc.word_ids.shape == doc.pos_ids.shape == (MAX_DOC_TOKENS,)
+    assert doc.char_ids.shape[0] == MAX_DOC_TOKENS
 
 
 def test_build_doc_oov_word_resolves_chars():
     u = _user("u1", ["zxqv hello"])
     v = build_vocab([_user("u2", ["hello there"])], min_word_freq=1)
     doc = build_doc(u, v)
-    tok = doc.tokens[0]
     assert v.word_id("zxqv") == UNK_ID
-    assert tok.chars == [v.chars[c] for c in "zxqv"]
-    assert all(c != UNK_ID for c in tok.chars)
+    assert doc.word_ids[0] == UNK_ID
+    assert doc.char_ids[0, :4].tolist() == [v.chars[c] for c in "zxqv"]
+    assert all(c != UNK_ID for c in doc.char_ids[0, :4])
 
 
 def test_build_doc_zero_tokens_names_user():
@@ -229,18 +231,3 @@ def test_build_doc_zero_tokens_names_user():
     ghost = SimpleNamespace(user_id="ghost", tweets=[])
     with pytest.raises(TextPipeError, match="ghost"):
         build_doc(ghost, v)
-
-
-def test_build_doc_pos_override():
-    u = _user("u1", ["the dog runs"])
-    v = build_vocab([u], min_word_freq=1)
-    doc = build_doc(u, v, pos_override=["NN", "NN", "NN"])
-    assert {t.pos for t in doc.tokens} == {v.tag_id("NN")}
-    with pytest.raises(TextPipeError, match="u1"):
-        build_doc(u, v, pos_override=["NN"])
-
-
-def test_load_pos_overrides_roundtrip(tmp_path):
-    path = tmp_path / "tags.jsonl"
-    write_jsonl(path, [{"user_id": "u1", "tags": ["DT", "NN", "VBZ"]}])
-    assert load_pos_overrides(path) == {"u1": ["DT", "NN", "VBZ"]}

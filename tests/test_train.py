@@ -338,9 +338,9 @@ def test_identical_members_equal_single_model(tmp_path):
     p = init_params(tiny_arch(), vocab, seed=9)
     path = tmp_path / "m.gfus"
     save_params(p, path)
-    preds = predict_ensemble([path] * 5, docs, vocab)
+    preds = predict_ensemble([path] * 5, docs)
     from genderfuse.model import predict_probs
-    solo = predict_probs(p, docs, vocab)
+    solo = predict_probs(p, docs)
     for i, pred in enumerate(preds):
         want = GENDERS[int(np.argmax(solo[i]))]
         assert pred.voted_gender == want
@@ -354,8 +354,8 @@ def test_ensemble_accepts_loaded_params(cv_run):
     vocab = build_vocab(corpus, min_word_freq=1)
     docs = [build_doc(u, vocab) for u in corpus]
     models = [load_params(fr.checkpoint) for fr in results]
-    a = predict_ensemble(models, docs, vocab)
-    b = predict_ensemble([fr.checkpoint for fr in results], docs, vocab)
+    a = predict_ensemble(models, docs)
+    b = predict_ensemble([fr.checkpoint for fr in results], docs)
     assert [(p.user_id, p.voted_gender, p.fold_probs) for p in a] \
         == [(p.user_id, p.voted_gender, p.fold_probs) for p in b]
 
@@ -371,7 +371,7 @@ def test_ensemble_rejects_foreign_vocab(cv_run, tmp_path):
     vocab = build_vocab(corpus, min_word_freq=1)
     docs = [build_doc(u, vocab) for u in corpus]
     with pytest.raises(CheckpointError, match="fingerprint"):
-        predict_ensemble([results[0].checkpoint, path], docs, vocab)
+        predict_ensemble([results[0].checkpoint, path], docs)
 
 
 def test_ensemble_rejects_arch_mismatch(cv_run, tmp_path):
@@ -382,19 +382,19 @@ def test_ensemble_rejects_arch_mismatch(cv_run, tmp_path):
     save_params(odd, path)
     docs = [build_doc(u, vocab) for u in corpus]
     with pytest.raises(CheckpointError, match="architecture"):
-        predict_ensemble([results[0].checkpoint, path], docs, vocab)
+        predict_ensemble([results[0].checkpoint, path], docs)
 
 
 def test_ensemble_needs_members():
     with pytest.raises(CheckpointError, match="at least one"):
-        predict_ensemble([], [], build_vocab(make_corpus(1), min_word_freq=1))
+        predict_ensemble([], [])
 
 
 def test_cv_checkpoints_ensemble_end_to_end(cv_run):
     corpus, results, _ = cv_run
     vocab = build_vocab(corpus, min_word_freq=1)
     docs = [build_doc(u, vocab) for u in corpus]
-    preds = predict_ensemble([fr.checkpoint for fr in results], docs, vocab)
+    preds = predict_ensemble([fr.checkpoint for fr in results], docs)
     assert [p.user_id for p in preds] == [u.user_id for u in corpus]
     acc = evaluate(preds, corpus)
     assert 0.0 <= acc <= 1.0
