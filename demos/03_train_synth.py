@@ -6,14 +6,12 @@
 # (male): the random stem keeps each surface form near-unique, so the word
 # channel sees <unk> while the character channel can read the suffix.
 
-import json
 import tempfile
 import time
 from pathlib import Path
 
 from genderfuse.model import ArchConfig
 from genderfuse.synth import SynthSpec, gen_gender_corpus
-from genderfuse.textpipe import Vocab, build_doc
 from genderfuse.train import EnsembleReport, evaluate, predict_ensemble, train_cv
 
 corpus = gen_gender_corpus(SynthSpec(users_per_class=80, tweets_per_user=15,
@@ -32,12 +30,10 @@ with tempfile.TemporaryDirectory() as tmp:
                           dropout=0.2, lr=0.005, batch_size=16)
         workdir = Path(tmp) / variant
         t0 = time.time()
-        folds = train_cv(corpus, arch, k=5, epochs=8, seed=0,
-                         workdir=workdir, test_corpus=held_out)
-        vocab = Vocab.from_json(json.loads(
-            (workdir / "vocab.json").read_text(encoding="utf-8")))
-        docs = [build_doc(u, vocab) for u in held_out]
-        preds = predict_ensemble([fr.checkpoint for fr in folds], docs)
+        run = train_cv(corpus, arch, k=5, epochs=8, seed=0,
+                       workdir=workdir, test_corpus=held_out)
+        folds = run.folds
+        preds = predict_ensemble([fr.checkpoint for fr in folds], run.test_docs)
         voting = evaluate(preds, held_out)
         report.add(column, [fr.test_accuracy for fr in folds], voting)
         accs = " ".join(f"{fr.test_accuracy:.2f}" for fr in folds)

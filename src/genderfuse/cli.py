@@ -264,25 +264,22 @@ def _cmd_train(args) -> int:
             f"{workdir} already holds fold results; pass --resume to reuse "
             "them or choose a fresh directory")
 
-    results = train_cv(corpus, arch, k=cfg["folds"], epochs=cfg["epochs"],
-                       seed=args.seed, workdir=workdir, pretrained=pretrained,
-                       test_corpus=test, min_word_freq=cfg["min_word_freq"],
-                       jobs=cfg["jobs"])
-    failed = [fr for fr in results if fr.error]
+    run = train_cv(corpus, arch, k=cfg["folds"], epochs=cfg["epochs"],
+                   seed=args.seed, workdir=workdir, pretrained=pretrained,
+                   test_corpus=test, min_word_freq=cfg["min_word_freq"],
+                   jobs=cfg["jobs"])
+    failed = [fr for fr in run.folds if fr.error]
     for fr in failed:
         print(f"fold {fr.fold} failed: {fr.error}", file=sys.stderr)
     if failed:
         return 2
 
-    vocab = Vocab.from_json(json.loads(
-        (workdir / "vocab.json").read_text(encoding="utf-8")))
     # vote on the held-out corpus when there is one, else in sample
-    eval_corpus = test if test is not None else corpus
-    docs = [build_doc(u, vocab) for u in eval_corpus]
-    preds = predict_ensemble([fr.checkpoint for fr in results], docs)
+    eval_corpus, docs = (test, run.test_docs) if test is not None else (corpus, run.docs)
+    preds = predict_ensemble([fr.checkpoint for fr in run.folds], docs)
     voting = voting_accuracy(preds, eval_corpus)
     fold_accs = [fr.test_accuracy if fr.test_accuracy is not None
-                 else max(fr.val_trace) for fr in results]
+                 else max(fr.val_trace) for fr in run.folds]
 
     report = EnsembleReport()
     report.add(VARIANT_COLUMN[arch.variant], fold_accs, voting)
@@ -305,7 +302,7 @@ def _cmd_train(args) -> int:
         # checkpoint names are workdir-relative so reruns compare bytewise
         "fold_results": [{**fr.to_json(),
                           "checkpoint": Path(fr.checkpoint).name}
-                         for fr in results],
+                         for fr in run.folds],
     })
     print(f"report -> {out_path}")
     return 0

@@ -3,9 +3,9 @@
 Variants: "cnn" (word embeddings only), "cnn_char" (word + per-token char
 summary), "cnn_char_pos" (word + char + POS).  Per token the active feature
 sources are concatenated, then Kim-style parallel convolutions (one per
-filter width, same padding) + ReLU + masked max-over-time produce a document
-vector, followed by dense, batch norm, ReLU, dropout, and a 2-way softmax
-output.  Labels: female = 0, male = 1.
+filter width, same padding), masked max-over-time, then ReLU (equal by
+monotonicity) produce a document vector, followed by dense, batch norm,
+ReLU, dropout, and a 2-way softmax output.  Labels: female = 0, male = 1.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def _char_summaries(params: ModelParams, batch: Batch) -> Tensor:
     emb = embedding_lookup(params.tensors["char_emb"], batch.char_ids.reshape(b * t, c))
     conv = conv1d(emb, params.tensors["char_conv_w"], params.tensors["char_conv_b"],
                   padding="same")
-    pooled = max_over_time(relu(conv), batch.char_lens.reshape(b * t))
+    pooled = relu(max_over_time(conv, batch.char_lens.reshape(b * t)))
     return reshape(pooled, (b, t, params.arch.char_filters))
 
 
@@ -299,7 +299,7 @@ def forward(params: ModelParams, batch: Batch, mode: str = "eval",
     for w in arch.word_filter_widths:
         conv = conv1d(fused, params.tensors[f"word_conv_w{w}"],
                       params.tensors[f"word_conv_b{w}"], padding="same")
-        pooled.append(max_over_time(relu(conv), batch.doc_lens))
+        pooled.append(relu(max_over_time(conv, batch.doc_lens)))
     doc_vec = concat(pooled, axis=-1) if len(pooled) > 1 else pooled[0]
     h = dense(doc_vec, params.tensors["dense_w"], params.tensors["dense_b"])
     h = relu(batch_norm(h, params.tensors["bn_gamma"], params.tensors["bn_beta"],

@@ -119,16 +119,6 @@ def mul_const(x: Tensor, c) -> Tensor:
     return _node(x.data * c, (x,), backward)
 
 
-def tsum(x: Tensor) -> Tensor:
-    """Sum of all elements as a scalar tensor."""
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(np.full_like(x.data, float(g)))
-
-    return _node(np.asarray(x.data.sum()), (x,), backward)
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     orig = x.shape
 
@@ -233,8 +223,8 @@ def conv1d(x: Tensor, filters: Tensor, bias: Tensor | None = None,
 def max_over_time(x: Tensor, valid_len) -> Tensor:
     """Max over the time axis restricted to each row's first ``valid_len`` steps.
 
-    ``x`` is (b, n, c) and ``valid_len`` a length vector of shape (b,).
-    Gradient flows to the first argmax on ties.
+    ``x`` is (b, n, c) and ``valid_len`` a length vector of shape (b,).  The
+    argmax is computed only in backward; ties route to the first step.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"max_over_time: expected (batch, time, channels), got {x.data.shape}")
@@ -245,14 +235,14 @@ def max_over_time(x: Tensor, valid_len) -> Tensor:
     if lens.size and (lens.min() < 1 or lens.max() > n):
         raise ShapeError(f"max_over_time: valid_len must be in [1, {n}], got {lens.min()}..{lens.max()}")
 
-    t = np.arange(n)[None, :, None]
-    masked = np.where(t < lens[:, None, None], x.data, -np.inf)
-    arg = masked.argmax(axis=1)  # (b, c); first index on ties
-    out = np.take_along_axis(x.data, arg[:, None, :], axis=1)[:, 0, :]
+    valid = (np.arange(n) < lens[:, None])[:, :, None]  # (b, n, 1)
+    out = np.max(x.data, axis=1, where=valid, initial=-np.inf)
 
     def backward(g):
         if not x.requires_grad:
             return
+        # first valid step equal to the max (train_step refuses a NaN max)
+        arg = ((x.data == out[:, None, :]) & valid).argmax(axis=1)
         gx = np.zeros_like(x.data)
         np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
         x.accumulate(gx)

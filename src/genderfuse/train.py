@@ -142,6 +142,15 @@ class EnsembleReport:
                 for name, s in self.algos.items()}
 
 
+@dataclass
+class CVRun:
+    """The fold results of :func:`train_cv` and the docs it built, for reuse."""
+
+    folds: list[FoldResult]
+    docs: list                 # TokenizedDoc per corpus author, corpus order
+    test_docs: list | None     # the same for the test corpus, when given
+
+
 # ---------------------------------------------------------------------------
 # cross-validation driver
 # ---------------------------------------------------------------------------
@@ -217,7 +226,7 @@ def _run_fold_args(args) -> FoldResult:
 def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
              seed: int = 0, workdir, pretrained: dict | None = None,
              test_corpus=None, min_word_freq: int = 2,
-             jobs: int = 1) -> list[FoldResult]:
+             jobs: int = 1) -> CVRun:
     """k-fold cross-validated training over a labeled corpus.
 
     Persists to ``workdir``: the corpus-level vocabulary, one best-epoch
@@ -301,7 +310,7 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
     for i, fr in results.items():
         if i in pending and fr.error is None:
             write_json(workdir / f"fold{i}.json", {**fr.to_json(), **manifest})
-    return [results[i] for i in range(k)]
+    return CVRun(folds=[results[i] for i in range(k)], docs=docs, test_docs=test_docs)
 
 
 # ---------------------------------------------------------------------------

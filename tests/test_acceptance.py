@@ -115,7 +115,7 @@ def char_runs(tmp_path_factory):
     for variant in ("cnn_char_pos", "cnn"):
         arch = ArchConfig(variant=variant, **DESK_ARCH)
         frs = train_cv(corpus, arch, k=5, epochs=8, seed=0,
-                       workdir=root / variant, test_corpus=held_out)
+                       workdir=root / variant, test_corpus=held_out).folds
         vocab = Vocab.from_json(json.loads(
             (root / variant / "vocab.json").read_text(encoding="utf-8")))
         docs = [build_doc(u, vocab) for u in held_out]

@@ -14,6 +14,7 @@ from genderfuse.cli import (
 )
 from genderfuse.corpus import GenderPrediction, UserRecord, write_predictions_jsonl, write_users_jsonl
 from genderfuse.errors import ConfigError
+from genderfuse.textpipe import build_doc
 
 
 @pytest.fixture(autouse=True)
@@ -237,6 +238,22 @@ def test_train_twice_is_byte_identical(tmp_path, users_file, trained):
     assert main(train_args(users_file, other)) == 0
     assert (other / "report.json").read_bytes() == \
         (trained / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("held_out", [False, True])
+def test_train_tokenizes_each_author_once(tmp_path, users_file, monkeypatch, held_out):
+    calls = []
+
+    def counting_build_doc(user, vocab):
+        calls.append(user.user_id)
+        return build_doc(user, vocab)
+
+    monkeypatch.setattr("genderfuse.train.build_doc", counting_build_doc)
+    monkeypatch.setattr("genderfuse.cli.build_doc", counting_build_doc)
+    extra = ["--test-users", str(users_file)] if held_out else []
+    assert main(train_args(users_file, tmp_path) + extra) == 0
+    # 24 training authors, plus the same 24 again as the test corpus
+    assert len(calls) == (48 if held_out else 24)
 
 
 def test_train_refuses_dirty_workdir_without_resume(users_file, trained, capsys):

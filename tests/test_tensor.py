@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import softmax as scipy_softmax
 
 from genderfuse.errors import ShapeError, TrainingError
@@ -7,6 +10,7 @@ from genderfuse.tensor import (
     Adam,
     BatchNormState,
     Tensor,
+    _node,
     add,
     batch_norm,
     concat,
@@ -21,12 +25,21 @@ from genderfuse.tensor import (
     relu,
     reshape,
     softmax_xent,
-    tsum,
 )
 
 
 def t64(x, grad=True):
     return Tensor(np.asarray(x, dtype=np.float64), requires_grad=grad)
+
+
+def tsum(x: Tensor) -> Tensor:
+    """Sum of all elements as a scalar tensor."""
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(np.full_like(x.data, float(g)))
+
+    return _node(np.asarray(x.data.sum()), (x,), backward)
 
 
 def weighted_sum(x: Tensor, rng) -> Tensor:
@@ -235,6 +248,67 @@ def test_pool_gradients():
 
     report = grad_check(loss, {"x": x}, rng=np.random.default_rng(12))
     assert report.passed, report.summary()
+
+
+_POOL_VALUES = (-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+def test_relu_after_pool_equals_pool_after_relu(dtype, data):
+    # ReLU is monotone, so relu(max_t x) is max_t relu(x) bit for bit; the
+    # model applies the cheap order, tests/test_model.py::char_layer the other
+    b = data.draw(st.integers(3, 5), label="b")
+    n = data.draw(st.integers(1, 6), label="n")
+    c = data.draw(st.integers(1, 4), label="c")
+    values = st.sampled_from(_POOL_VALUES)     # ties, exact zeros and -0.0
+    x = np.array(data.draw(st.lists(values, min_size=b * n * c, max_size=b * n * c),
+                           label="x"), dtype=dtype).reshape(b, n, c)
+    x[1] = -np.abs(x[1]) - 0.25                # an all-negative row
+    lens = np.array(data.draw(st.lists(st.integers(1, n), min_size=b, max_size=b),
+                              label="lens"))
+    lens[0], lens[-1] = n, 1
+    if n > 1:
+        x[-1, -1] = 9.0                        # global max in the padded tail
+    w = np.array(data.draw(st.lists(values, min_size=b * c, max_size=b * c), label="w"),
+                 dtype=dtype).reshape(b, c)
+
+    def run(order):
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = order(xt)
+        tsum(mul_const(out, w)).backward()
+        return out.data, xt.grad
+
+    new, g_new = run(lambda xt: relu(max_over_time(xt, lens)))
+    old, g_old = run(lambda xt: max_over_time(relu(xt), lens))
+    assert new.dtype == old.dtype == dtype
+    assert new.tobytes() == old.tobytes()
+    assert np.array_equal(g_new, g_old)
+    # signed zeros may differ, only where no valid step is positive
+    raw_max = max_over_time(Tensor(x), lens).data
+    differs = np.signbit(g_new) != np.signbit(g_old)
+    assert not (differs & (raw_max > 0)[:, None, :]).any()
+    # and both route to the first maximal valid step
+    want = np.zeros_like(x)
+    for r in range(b):
+        for j in range(c):
+            col = list(x[r, :lens[r], j])
+            if max(col) > 0:
+                want[r, col.index(max(col)), j] = w[r, j]
+    assert np.array_equal(g_new, want)
+
+
+def test_pool_forward_allocates_no_masked_copy():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((8, 500, 256)).astype(np.float32), requires_grad=True)
+    lens = np.array([500, 1, 37, 250, 499, 500, 3, 120])
+    tracemalloc.start()
+    try:
+        max_over_time(x, lens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * x.data.nbytes
 
 
 # ---------------------------------------------------------------------------

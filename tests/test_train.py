@@ -41,7 +41,7 @@ def cv_run(tmp_path_factory):
     corpus = make_corpus()
     workdir = tmp_path_factory.mktemp("cv")
     results = train_cv(corpus, tiny_arch(), k=3, epochs=2, seed=7,
-                       workdir=workdir, min_word_freq=1)
+                       workdir=workdir, min_word_freq=1).folds
     return corpus, results, workdir
 
 
@@ -190,14 +190,14 @@ def test_train_cv_shape_of_results(cv_run):
 
 def test_train_cv_epochs_one_best_epoch_one(tmp_path):
     results = train_cv(make_corpus(3), tiny_arch(), k=2, epochs=1, seed=1,
-                       workdir=tmp_path, min_word_freq=1)
+                       workdir=tmp_path, min_word_freq=1).folds
     assert [fr.best_epoch for fr in results] == [1, 1]
 
 
 def test_train_cv_deterministic(cv_run, tmp_path):
     corpus, results, _ = cv_run
     again = train_cv(corpus, tiny_arch(), k=3, epochs=2, seed=7,
-                     workdir=tmp_path, min_word_freq=1)
+                     workdir=tmp_path, min_word_freq=1).folds
     assert [fr.val_trace for fr in again] == [fr.val_trace for fr in results]
     assert [fr.best_epoch for fr in again] == [fr.best_epoch for fr in results]
 
@@ -225,7 +225,7 @@ def test_train_cv_resume_skips_finished_folds(cv_run, monkeypatch):
 
     monkeypatch.setattr("genderfuse.train._run_fold", boom)
     again = train_cv(corpus, tiny_arch(), k=3, epochs=2, seed=7,
-                     workdir=workdir, min_word_freq=1)
+                     workdir=workdir, min_word_freq=1).folds
     assert [fr.val_trace for fr in again] == [fr.val_trace for fr in results]
 
 
@@ -265,7 +265,7 @@ def test_train_cv_rejects_vocab_mismatch(cv_run):
 def test_train_cv_parallel_folds_match_serial(cv_run, tmp_path):
     corpus, results, _ = cv_run
     par = train_cv(corpus, tiny_arch(), k=3, epochs=2, seed=7,
-                   workdir=tmp_path, min_word_freq=1, jobs=2)
+                   workdir=tmp_path, min_word_freq=1, jobs=2).folds
     assert [fr.val_trace for fr in par] == [fr.val_trace for fr in results]
 
 
@@ -275,7 +275,7 @@ def test_train_cv_captures_fold_failures(tmp_path, monkeypatch):
 
     monkeypatch.setattr("genderfuse.train.train_step", boom)
     results = train_cv(make_corpus(3), tiny_arch(), k=2, epochs=1, seed=3,
-                       workdir=tmp_path, min_word_freq=1)
+                       workdir=tmp_path, min_word_freq=1).folds
     assert all(fr.error == "synthetic divergence" for fr in results)
     assert all(fr.checkpoint is None for fr in results)
     # failed folds leave no resume metadata, so a rerun retries them
@@ -285,7 +285,7 @@ def test_train_cv_captures_fold_failures(tmp_path, monkeypatch):
 def test_train_cv_scores_test_corpus(tmp_path):
     corpus = make_corpus(3)
     results = train_cv(corpus, tiny_arch(), k=2, epochs=1, seed=5,
-                       workdir=tmp_path, min_word_freq=1, test_corpus=corpus)
+                       workdir=tmp_path, min_word_freq=1, test_corpus=corpus).folds
     for fr in results:
         assert fr.test_accuracy is not None
         assert 0.0 <= fr.test_accuracy <= 1.0
