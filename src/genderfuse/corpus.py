@@ -4,8 +4,8 @@ Three record kinds move through the pipeline:
 
 * :class:`UserRecord` -- one Twitter author with raw tweets (the unit the
   gender model predicts on);
-* :class:`LabeledTweet` -- one construct-labeled tweet consumed by the
-  contingency statistics;
+* :class:`TweetTable` -- a construct-labeled tweet stream as columns,
+  consumed by the contingency statistics;
 * :class:`GenderPrediction` -- one voted ensemble prediction with per-fold
   probabilities.
 
@@ -15,15 +15,17 @@ author directories (``<id>.xml`` + ``truth.txt``) are import-only.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CorpusError
-from .ioutil import iter_jsonl, write_jsonl
+from .ioutil import iter_jsonl, json_line, write_jsonl
 
 # Label encoding is fixed package-wide: female = 0, male = 1.
 GENDERS = ("female", "male")
@@ -67,25 +69,23 @@ class UserRecord:
                 raise CorpusError(f"user {self.user_id!r}: contains an empty tweet")
 
 
-@dataclass(slots=True)
-class LabeledTweet:
-    """One tweet with HBM construct labels and an optional TPB attitude."""
+@dataclass(frozen=True, eq=False)
+class TweetTable:
+    """A construct-labeled tweet stream as columns, one row per tweet.
 
-    tweet_id: str
-    user_id: str
-    year: int
-    hbm_constructs: frozenset = field(default_factory=frozenset)
-    tpb_attitude: str | None = None
+    ``author`` indexes ``authors``, the distinct user ids in first-seen
+    order.  Bit j of ``hbm`` marks ``HBM_CONSTRUCTS[j]``; ``tpb`` is -1 for no
+    attitude, otherwise an index into ``TPB_ATTITUDES``.
+    """
 
-    def __post_init__(self):
-        if self.year <= 0:
-            raise CorpusError(f"tweet {self.tweet_id!r}: year must be positive")
-        self.hbm_constructs = frozenset(self.hbm_constructs)
-        bad = self.hbm_constructs - set(HBM_CONSTRUCTS)
-        if bad:
-            raise CorpusError(f"tweet {self.tweet_id!r}: unknown HBM constructs {sorted(bad)}")
-        if self.tpb_attitude is not None and self.tpb_attitude not in TPB_ATTITUDES:
-            raise CorpusError(f"tweet {self.tweet_id!r}: bad TPB attitude {self.tpb_attitude!r}")
+    authors: tuple
+    author: np.ndarray      # int64
+    year: np.ndarray        # int64, positive
+    hbm: np.ndarray         # uint8 bitmask
+    tpb: np.ndarray         # int8 code
+
+    def __len__(self) -> int:
+        return len(self.year)
 
 
 @dataclass
@@ -195,26 +195,89 @@ def read_users_jsonl(path) -> list[UserRecord]:
     return users
 
 
-def write_labeled_tweets_jsonl(tweets, path) -> None:
-    write_jsonl(path, ({"tweet_id": t.tweet_id, "user_id": t.user_id, "year": t.year,
-                        "hbm": sorted(t.hbm_constructs), "tpb": t.tpb_attitude}
-                       for t in tweets))
+def write_labeled_tweets_jsonl(stream: TweetTable, path) -> None:
+    """One canonical line per row, tweet ids numbered ``t0``, ``t1``, ..."""
+    hbm = [sorted(c for j, c in enumerate(HBM_CONSTRUCTS) if mask >> j & 1)
+           for mask in range(1 << len(HBM_CONSTRUCTS))]
+    tpb = (*TPB_ATTITUDES, None)            # code -1 reads the last entry
+    rows = zip(stream.author.tolist(), stream.year.tolist(), stream.hbm.tolist(),
+               stream.tpb.tolist())
+    write_jsonl(path, ({"tweet_id": f"t{i}", "user_id": stream.authors[a], "year": y,
+                        "hbm": hbm[h], "tpb": tpb[t]}
+                       for i, (a, y, h, t) in enumerate(rows)))
 
 
-def read_labeled_tweets_jsonl(path) -> list[LabeledTweet]:
-    tweets = []
-    for lineno, obj in iter_jsonl(path):
-        try:
-            tweets.append(LabeledTweet(
-                tweet_id=obj["tweet_id"],
-                user_id=obj["user_id"],
-                year=int(obj["year"]),
-                hbm_constructs=frozenset(obj.get("hbm", ())),
-                tpb_attitude=obj.get("tpb"),
-            ))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise _bad_record(path, lineno, exc) from exc
-    return tweets
+# The line write_labeled_tweets_jsonl emits: fixed key order, default
+# separators, strings of printable ASCII without escapes, and a year of at
+# most 18 digits, so it fits int64.  Group 1 is the user id; group 2, the
+# year, hbm and tpb fields, takes few distinct values in a stream.
+_PLAIN = rb'[ !#-\[\]-~]*'
+_CANONICAL_TWEET = re.compile(
+    rb'\{"tweet_id": "' + _PLAIN + rb'", "user_id": "(' + _PLAIN + rb')", '
+    rb'("year": [1-9][0-9]{0,17}, "hbm": \[(?:"[a-z]+"(?:, "[a-z]+")*)?\], '
+    rb'"tpb": (?:null|"[a-z]+"))\}\r?\n?').fullmatch
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _tweet_labels(obj) -> tuple:
+    """``(year, hbm bitmask, tpb code)`` of one decoded tweet object."""
+    year = int(obj["year"])
+    if not 0 < year <= _INT64_MAX:
+        raise ValueError(f"year must be in 1..{_INT64_MAX}, got {obj['year']!r}")
+    hbm = frozenset(obj.get("hbm", ()))
+    bad = hbm - set(HBM_CONSTRUCTS)
+    if bad:
+        raise ValueError(f"unknown HBM constructs {sorted(bad, key=repr)}")
+    tpb = obj.get("tpb")
+    if tpb is not None and tpb not in TPB_ATTITUDES:
+        raise ValueError(f"bad TPB attitude {tpb!r}")
+    return (year, sum(1 << HBM_CONSTRUCTS.index(c) for c in hbm),
+            -1 if tpb is None else TPB_ATTITUDES.index(tpb))
+
+
+def read_labeled_tweets_jsonl(path) -> TweetTable:
+    """Read a labeled-tweet stream; every non-blank line is one JSON object.
+
+    ``tweet_id``, ``user_id`` and ``year`` are required, ``hbm`` (a list of
+    names, read as a set) and ``tpb`` (a name or null) are optional, and any
+    other field is ignored.  Lines exactly as
+    :func:`write_labeled_tweets_jsonl` writes them skip the JSON decoder.
+    """
+    authors: dict = {}          # user id -> author index, in first-seen order
+    labels: dict = {}           # (year, hbm, tpb) -> label row
+    raw_authors: dict = {}      # raw bytes of canonical lines -> the same indices
+    raw_labels: dict = {}
+    author, label = [], []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                m = _CANONICAL_TWEET(line)
+                if m is not None:
+                    uid, fields = m.groups()
+                    a = raw_authors.get(uid)
+                    if a is None:
+                        a = raw_authors[uid] = authors.setdefault(uid.decode("ascii"),
+                                                                  len(authors))
+                    r = raw_labels.get(fields)
+                    if r is None:
+                        row = _tweet_labels(json.loads(b"{" + fields + b"}"))
+                        r = raw_labels[fields] = labels.setdefault(row, len(labels))
+                elif line.strip():
+                    obj = json_line(path, lineno, line)
+                    _, uid = obj["tweet_id"], obj["user_id"]   # tweet_id is not kept
+                    a = authors.setdefault(uid, len(authors))
+                    r = labels.setdefault(_tweet_labels(obj), len(labels))
+                else:
+                    continue
+            except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise _bad_record(path, lineno, exc) from exc
+            author.append(a)
+            label.append(r)
+    rows = np.array(label, dtype=np.int64)
+    year, hbm, tpb = np.array(list(labels), dtype=np.int64).reshape(-1, 3).T
+    return TweetTable(authors=tuple(authors), author=np.array(author, dtype=np.int64),
+                      year=year[rows], hbm=hbm[rows].astype(np.uint8),
+                      tpb=tpb[rows].astype(np.int8))
 
 
 def write_predictions_jsonl(preds, path) -> None:

@@ -42,17 +42,21 @@ def write_jsonl(path, records) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def iter_jsonl(path):
-    """Yield ``(line_number, object)`` pairs; line numbers are 1-based."""
+def json_line(path, lineno: int, line: bytes):
+    """Decode one line of ``path`` as UTF-8 JSON; failures name the line."""
     # decoded line by line, so bytes that are not UTF-8 are named by line too
+    try:
+        return json.loads(line.decode("utf-8"))
+    except ValueError as exc:
+        raise CorpusError(f"{path}, line {lineno}: {exc}") from exc
+
+
+def iter_jsonl(path):
+    """Yield ``(line_number, object)`` pairs, skipping blank lines; 1-based."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield lineno, json.loads(line.decode("utf-8"))
-            except ValueError as exc:
-                raise CorpusError(f"{path}, line {lineno}: {exc}") from exc
+            if line.strip():
+                yield lineno, json_line(path, lineno, line)
 
 
 def write_json(path, obj) -> None:

@@ -15,6 +15,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from .corpus import HBM_CONSTRUCTS, TPB_ATTITUDES, TweetTable
 from .errors import StatsError
 from .ioutil import atomic_open, write_json
 
@@ -70,21 +73,31 @@ class ConstructTable:
         return self.a, self.b, self.c, self.d
 
 
-def _in_construct(tweet, construct: str) -> bool:
-    if construct == "tpb_positive":
-        return tweet.tpb_attitude == "positive"
-    return construct in tweet.hbm_constructs
+# A tweet's label code is hbm mask * _TPB_CODES + tpb code + 1.
+_HBM_MASKS = 1 << len(HBM_CONSTRUCTS)
+_TPB_CODES = len(TPB_ATTITUDES) + 1
+_LABEL_CODES = _HBM_MASKS * _TPB_CODES
 
 
-def _in_denominator(tweet, construct: str, config: AnalysisConfig) -> bool:
+def _label_columns(config: AnalysisConfig) -> tuple:
+    """``(hit, counted)``: 0/1 matrices indexed by (label code, construct).
+
+    A tweet with label code k is in construct j when ``hit[k, j]`` is 1 and
+    counts in that construct's table when ``counted[k, j]`` is 1.
+    """
+    code = np.arange(_LABEL_CODES)
+    mask, tpb = code // _TPB_CODES, code % _TPB_CODES - 1
+    hit = [mask >> HBM_CONSTRUCTS.index(c) & 1 for c in CONSTRUCTS[:-1]]
+    hit.append(tpb == TPB_ATTITUDES.index("positive"))
     if config.denominator == "all":
-        return True
-    if construct == "tpb_positive":
-        return tweet.tpb_attitude is not None
-    return bool(tweet.hbm_constructs)
+        counted = [np.ones_like(code)] * len(CONSTRUCTS)
+    else:
+        counted = [mask != 0] * (len(CONSTRUCTS) - 1) + [tpb != -1]
+    return (np.stack(hit, axis=1).astype(np.int64),
+            np.stack(counted, axis=1).astype(np.int64))
 
 
-def build_tables(tweets, preds, config: AnalysisConfig | None = None) -> list:
+def build_tables(stream: TweetTable, preds, config: AnalysisConfig | None = None) -> list:
     """Five contingency tables per year present in the tweet stream.
 
     Gender comes from the voted prediction of the authoring user; a tweet
@@ -94,28 +107,27 @@ def build_tables(tweets, preds, config: AnalysisConfig | None = None) -> list:
     """
     config = config or AnalysisConfig()
     gender_of = {p.user_id: p.voted_gender for p in preds}
-    unresolved = sorted({t.user_id for t in tweets if t.user_id not in gender_of})
+    unresolved = sorted(u for u in stream.authors if u not in gender_of)
     if unresolved:
         raise StatsError(
             f"{len(unresolved)} tweet author(s) have no gender prediction, "
             f"e.g. {unresolved[:5]}")
+    if not len(stream):
+        raise StatsError("the tweet stream has no tweets")
 
-    tables = []
-    for year in sorted({t.year for t in tweets}):
-        year_tweets = [t for t in tweets if t.year == year]
-        for construct in CONSTRUCTS:
-            a = b = c = d = 0
-            for t in year_tweets:
-                if not _in_denominator(t, construct, config):
-                    continue
-                male = gender_of[t.user_id] == "male"
-                hit = _in_construct(t, construct)
-                if male:
-                    a, b = a + hit, b + (not hit)
-                else:
-                    c, d = c + hit, d + (not hit)
-            tables.append(ConstructTable(construct, year, a, b, c, d))
-    return tables
+    is_male = np.array([gender_of[u] == "male" for u in stream.authors], dtype=np.int64)
+    years, year_index = np.unique(stream.year, return_inverse=True)
+    label = stream.hbm.astype(np.int64) * _TPB_CODES + stream.tpb + 1
+    slot = (year_index * 2 + is_male[stream.author]) * _LABEL_CODES + label
+    counts = np.bincount(slot, minlength=len(years) * 2 * _LABEL_CODES)
+    counts = counts.reshape(len(years), 2, _LABEL_CODES)    # (year, male, label)
+    hit, counted = _label_columns(config)
+    hits = (counts @ (hit * counted)).tolist()              # (year, male, construct)
+    misses = (counts @ ((1 - hit) * counted)).tolist()
+    return [ConstructTable(construct, year, hits[y][1][j], misses[y][1][j],
+                           hits[y][0][j], misses[y][0][j])
+            for y, year in enumerate(years.tolist())
+            for j, construct in enumerate(CONSTRUCTS)]
 
 
 def odds_ratio(table: ConstructTable, config: AnalysisConfig | None = None) -> float:

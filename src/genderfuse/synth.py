@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import GENDERS, GenderPrediction, LabeledTweet, UserRecord
+from .corpus import (GENDERS, HBM_CONSTRUCTS, TPB_ATTITUDES, GenderPrediction,
+                     TweetTable, UserRecord)
 from .errors import ConfigError
 from .stats import CONSTRUCTS
 
@@ -173,7 +174,7 @@ def implied_odds_ratio(pm: float, pf: float) -> float:
 
 @dataclass
 class LabeledTweetSet:
-    tweets: list
+    tweets: TweetTable
     predictions: list       # perfect-confidence gender predictions
     implied_or: dict        # construct -> population odds ratio
 
@@ -192,25 +193,28 @@ def gen_labeled_tweets(spec: SynthSpec) -> LabeledTweetSet:
     users = [(f"s{g[0]}{i:04d}", g)
              for g in GENDERS for i in range(spec.users_per_class)]
     preds = [GenderPrediction.from_fold_probs(uid, g, [1.0]) for uid, g in users]
-    # rate pairs are (male, female)
-    rate_row = {g: np.array([spec.construct_rates[c][0 if g == "male" else 1]
-                             for c in CONSTRUCTS])
-                for g in GENDERS}
+    is_male = np.array([g == "male" for _, g in users])
+    # rate pairs are (male, female); row 1 holds the male rates
+    rates = np.array([[spec.construct_rates[c][1 - m] for c in CONSTRUCTS] for m in (0, 1)])
 
-    tweets = []
-    tid = 0
-    for year in sorted(spec.yearly_volumes):
-        vol = spec.yearly_volumes[year]
-        authors = rng.integers(0, len(users), size=vol)
-        draws = rng.random(size=(vol, len(CONSTRUCTS)))
-        for row in range(vol):
-            uid, gender = users[authors[row]]
-            hits = draws[row] < rate_row[gender]
-            hbm = frozenset(c for c, h in zip(CONSTRUCTS[:4], hits[:4]) if h)
-            tweets.append(LabeledTweet(
-                f"t{tid}", uid, year, hbm,
-                "positive" if hits[4] else "negative"))
-            tid += 1
+    years = sorted(spec.yearly_volumes)
+    volumes = [spec.yearly_volumes[y] for y in years]
+    drawn, draws = [], []
+    for vol in volumes:
+        drawn.append(rng.integers(0, len(users), size=vol))
+        draws.append(rng.random(size=(vol, len(CONSTRUCTS))))
+    drawn = np.concatenate(drawn)
+    hits = np.concatenate(draws) < rates[is_male[drawn].astype(np.int64)]
+    bits = 1 << np.array([HBM_CONSTRUCTS.index(c) for c in CONSTRUCTS[:-1]])
+    ids, first, inverse = np.unique(drawn, return_index=True, return_inverse=True)
+    order = np.argsort(first)               # authors in first-seen order
+    tweets = TweetTable(
+        authors=tuple(users[i][0] for i in ids[order].tolist()),
+        author=np.argsort(order)[inverse],
+        year=np.repeat(np.array(years, dtype=np.int64), volumes),
+        hbm=(hits[:, :-1] @ bits).astype(np.uint8),
+        tpb=np.where(hits[:, -1], TPB_ATTITUDES.index("positive"),
+                     TPB_ATTITUDES.index("negative")).astype(np.int8))
     implied = {c: implied_odds_ratio(*spec.construct_rates[c])
                for c in CONSTRUCTS}
     return LabeledTweetSet(tweets=tweets, predictions=preds, implied_or=implied)

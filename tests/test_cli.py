@@ -303,6 +303,8 @@ PRED_OK = '{"user_id": "a", "gender": "male", "fold_probs": [0.9], "avg_prob": 0
     ("train", USER_OK, '{"user_id": "b", "gender": "male", "tweets": [5]}'),
     ("train", USER_OK, '{"user_id": 7, "gender": "male", "tweets": ["x"]}'),
     ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": "a", "year": "x"}'),
+    ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": "a", "year": 0}'),
+    ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": "a", "year": 99999999999999999999}'),
     ("evaluate", PRED_OK, '{"user_id": "b", "gender": "male", "fold_probs": 5, "avg_prob": 1}'),
 ])
 def test_malformed_jsonl_is_data_error_naming_line(tmp_path, capsys, command, good, bad):
@@ -382,6 +384,18 @@ def test_analyze_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "10 construct-year tables" in out
     assert "= 0.002" in out
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\t\r\n"])
+def test_analyze_empty_stream_is_data_error(tmp_path, capsys, text):
+    t, p = tmp_path / "t.jsonl", tmp_path / "p.jsonl"
+    t.write_text(text, encoding="utf-8")
+    write_predictions_jsonl([GenderPrediction.from_fold_probs("a", "male", [0.9])], p)
+    csv_path = tmp_path / "fig.csv"
+    assert main(["analyze", "--tweets", str(t), "--preds", str(p),
+                 "--out", str(csv_path)]) == 2
+    assert "no tweets" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([t, p])      # no figure written
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,29 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genderfuse.corpus import (
+    _CANONICAL_TWEET,
     GENDERS,
+    HBM_CONSTRUCTS,
+    TPB_ATTITUDES,
     CorpusError,
     GenderPrediction,
-    LabeledTweet,
     UserRecord,
     import_pan,
+    read_labeled_tweets_jsonl,
     read_predictions_jsonl,
     read_users_jsonl,
     split_folds,
+    write_labeled_tweets_jsonl,
     write_predictions_jsonl,
     write_users_jsonl,
 )
+from genderfuse.synth import SynthSpec, gen_labeled_tweets
 
 
 def make_corpus(n_female, n_male, tweets_per_user=2):
@@ -40,15 +47,20 @@ def test_user_record_rejects_empty_tweets():
         UserRecord("", "female", ["ok"])
 
 
-def test_labeled_tweet_validation():
-    t = LabeledTweet("t1", "u1", 2015, {"barriers", "benefits"}, "positive")
-    assert t.hbm_constructs == frozenset({"barriers", "benefits"})
-    with pytest.raises(CorpusError):
-        LabeledTweet("t2", "u1", 0)
-    with pytest.raises(CorpusError):
-        LabeledTweet("t3", "u1", 2015, {"bogus"})
-    with pytest.raises(CorpusError):
-        LabeledTweet("t4", "u1", 2015, tpb_attitude="meh")
+def test_labeled_tweet_validation(tmp_path):
+    good = '{"tweet_id": "t1", "user_id": "u1", "year": 2015, "hbm": ["benefits", "barriers"], "tpb": "positive"}'
+    path = tmp_path / "t.jsonl"
+    path.write_text(good + "\n", encoding="utf-8")
+    t = read_labeled_tweets_jsonl(path)
+    assert t.authors == ("u1",) and t.author.tolist() == [0] and t.year.tolist() == [2015]
+    assert t.hbm.tolist() == [1 << HBM_CONSTRUCTS.index("benefits") | 1 << HBM_CONSTRUCTS.index("barriers")]
+    assert t.tpb.tolist() == [TPB_ATTITUDES.index("positive")]
+    for bad in ('{"tweet_id": "t2", "user_id": "u1", "year": 0}',
+                '{"tweet_id": "t3", "user_id": "u1", "year": 2015, "hbm": ["bogus"], "tpb": null}',
+                '{"tweet_id": "t4", "user_id": "u1", "year": 2015, "tpb": "meh"}'):
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}, line 2:")):
+            read_labeled_tweets_jsonl(path)
 
 
 def test_prediction_avg_must_match_mean():
@@ -155,6 +167,21 @@ def test_predictions_jsonl_round_trip(tmp_path):
     path = tmp_path / "preds.jsonl"
     write_predictions_jsonl(preds, path)
     assert read_predictions_jsonl(path) == preds
+
+
+def test_labeled_tweets_jsonl_round_trip(tmp_path):
+    stream = gen_labeled_tweets(SynthSpec(users_per_class=5, seed=3,
+                                          yearly_volumes={2014: 40, 2017: 30})).tweets
+    path = tmp_path / "tweets.jsonl"
+    write_labeled_tweets_jsonl(stream, path)
+    back = read_labeled_tweets_jsonl(path)
+    assert back.authors == stream.authors
+    for column in ("author", "year", "hbm", "tpb"):
+        assert np.array_equal(getattr(back, column), getattr(stream, column))
+        assert getattr(back, column).dtype == getattr(stream, column).dtype
+    # lines as the writer emits them skip the JSON decoder
+    with open(path, "rb") as fh:
+        assert all(_CANONICAL_TWEET(line) for line in fh)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,18 @@ by the implementation.  Do not regenerate them from package output.
 import csv
 import json
 import math
+import tempfile
+from dataclasses import dataclass, field
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from genderfuse.corpus import GenderPrediction, LabeledTweet
-from genderfuse.errors import StatsError
+from genderfuse.corpus import (HBM_CONSTRUCTS, TPB_ATTITUDES, GenderPrediction, TweetTable,
+                               read_labeled_tweets_jsonl)
+from genderfuse.errors import CorpusError, StatsError
+from genderfuse.ioutil import iter_jsonl
 from genderfuse.stats import (CONSTRUCTS, AnalysisConfig, ConstructTable,
                               analyze, apply_bonferroni, build_tables,
                               chi2_tail, chi2_test, emit_figure2, odds_ratio)
@@ -205,6 +211,108 @@ def test_table_validation():
 
 
 # ---------------------------------------------------------------------------
+# oracle: the per-tweet record, reader and table loop the columns replaced
+# ---------------------------------------------------------------------------
+
+@dataclass(slots=True)
+class LabeledTweet:
+    """One tweet with HBM construct labels and an optional TPB attitude."""
+
+    tweet_id: str
+    user_id: str
+    year: int
+    hbm_constructs: frozenset = field(default_factory=frozenset)
+    tpb_attitude: str | None = None
+
+    def __post_init__(self):
+        if self.year <= 0:
+            raise CorpusError(f"tweet {self.tweet_id!r}: year must be positive")
+        self.hbm_constructs = frozenset(self.hbm_constructs)
+        bad = self.hbm_constructs - set(HBM_CONSTRUCTS)
+        if bad:
+            raise CorpusError(f"tweet {self.tweet_id!r}: unknown HBM constructs {sorted(bad)}")
+        if self.tpb_attitude is not None and self.tpb_attitude not in TPB_ATTITUDES:
+            raise CorpusError(f"tweet {self.tweet_id!r}: bad TPB attitude {self.tpb_attitude!r}")
+
+
+def oracle_read(path) -> list:
+    """The per-line reader, except that record errors also name the line."""
+    tweets = []
+    for lineno, obj in iter_jsonl(path):
+        try:
+            tweets.append(LabeledTweet(
+                tweet_id=obj["tweet_id"],
+                user_id=obj["user_id"],
+                year=int(obj["year"]),
+                hbm_constructs=frozenset(obj.get("hbm", ())),
+                tpb_attitude=obj.get("tpb"),
+            ))
+        except (AttributeError, KeyError, TypeError, ValueError, CorpusError) as exc:
+            raise CorpusError(f"{path}, line {lineno}: {exc}") from exc
+    return tweets
+
+
+def _in_construct(tweet, construct: str) -> bool:
+    if construct == "tpb_positive":
+        return tweet.tpb_attitude == "positive"
+    return construct in tweet.hbm_constructs
+
+
+def _in_denominator(tweet, construct: str, config: AnalysisConfig) -> bool:
+    if config.denominator == "all":
+        return True
+    if construct == "tpb_positive":
+        return tweet.tpb_attitude is not None
+    return bool(tweet.hbm_constructs)
+
+
+def oracle_tables(tweets, preds, config: AnalysisConfig | None = None) -> list:
+    """The loop over years x constructs x tweets that ``build_tables`` replaced."""
+    config = config or AnalysisConfig()
+    gender_of = {p.user_id: p.voted_gender for p in preds}
+    unresolved = sorted({t.user_id for t in tweets if t.user_id not in gender_of})
+    if unresolved:
+        raise StatsError(
+            f"{len(unresolved)} tweet author(s) have no gender prediction, "
+            f"e.g. {unresolved[:5]}")
+
+    tables = []
+    for year in sorted({t.year for t in tweets}):
+        year_tweets = [t for t in tweets if t.year == year]
+        for construct in CONSTRUCTS:
+            a = b = c = d = 0
+            for t in year_tweets:
+                if not _in_denominator(t, construct, config):
+                    continue
+                male = gender_of[t.user_id] == "male"
+                hit = _in_construct(t, construct)
+                if male:
+                    a, b = a + hit, b + (not hit)
+                else:
+                    c, d = c + hit, d + (not hit)
+            tables.append(ConstructTable(construct, year, a, b, c, d))
+    return tables
+
+
+def stream_of(tweets) -> TweetTable:
+    """The columns of a list of oracle tweets, authors in first-seen order."""
+    authors = {}
+    author = [authors.setdefault(t.user_id, len(authors)) for t in tweets]
+    return TweetTable(
+        authors=tuple(authors),
+        author=np.array(author, dtype=np.int64),
+        year=np.array([t.year for t in tweets], dtype=np.int64),
+        hbm=np.array([sum(1 << HBM_CONSTRUCTS.index(c) for c in t.hbm_constructs)
+                      for t in tweets], dtype=np.uint8),
+        tpb=np.array([-1 if t.tpb_attitude is None else TPB_ATTITUDES.index(t.tpb_attitude)
+                      for t in tweets], dtype=np.int8))
+
+
+def cells(tables) -> list:
+    return [(t.construct, t.year, t.cells) for t in tables]
+
+
+# ---------------------------------------------------------------------------
 # table building (hand-counted 6-tweet fixture)
 # ---------------------------------------------------------------------------
 
@@ -232,7 +340,7 @@ def by_construct(tables):
 
 def test_fixture_cells_match_hand_count():
     # male tweets: t1, t2, t3, t7; female: t4, t5, t6
-    tables = by_construct(build_tables(fixture_tweets(), fixture_preds()))
+    tables = by_construct(build_tables(stream_of(fixture_tweets()), fixture_preds()))
     assert len(tables) == 5
     assert tables[("barriers", 2015)].cells == (2, 2, 1, 2)
     assert tables[("severity", 2015)].cells == (1, 3, 0, 3)     # t2 counted here too
@@ -242,14 +350,14 @@ def test_fixture_cells_match_hand_count():
 
 
 def test_fixture_row_totals():
-    for t in build_tables(fixture_tweets(), fixture_preds()):
+    for t in build_tables(stream_of(fixture_tweets()), fixture_preds()):
         assert t.a + t.b == 4       # male tweets that year
         assert t.c + t.d == 3
 
 
 def test_labeled_denominator():
     cfg = AnalysisConfig(denominator="labeled")
-    tables = by_construct(build_tables(fixture_tweets(), fixture_preds(), cfg))
+    tables = by_construct(build_tables(stream_of(fixture_tweets()), fixture_preds(), cfg))
     # HBM-labeled tweets only: t1, t2, t7, t4, t5
     assert tables[("barriers", 2015)].cells == (2, 1, 1, 1)
     # TPB-labeled tweets only: t3, t5
@@ -259,7 +367,7 @@ def test_labeled_denominator():
 def test_multi_year_and_empty_year():
     tweets = fixture_tweets() + [
         LabeledTweet("t7", "amy", 2017, frozenset({"benefits"}))]
-    tables = build_tables(tweets, fixture_preds())
+    tables = build_tables(stream_of(tweets), fixture_preds())
     assert len(tables) == 10
     assert sorted({t.year for t in tables}) == [2015, 2017]
 
@@ -267,7 +375,7 @@ def test_multi_year_and_empty_year():
 def test_unresolvable_user_listed():
     tweets = fixture_tweets() + [LabeledTweet("t9", "zoe", 2015, frozenset())]
     with pytest.raises(StatsError, match="zoe"):
-        build_tables(tweets, fixture_preds())
+        build_tables(stream_of(tweets), fixture_preds())
 
 
 @given(st.lists(st.tuples(st.sampled_from(["bob", "amy"]),
@@ -280,7 +388,7 @@ def test_totals_against_brute_recount(rows):
               for i, (uid, year, hit) in enumerate(rows)]
     preds = [GenderPrediction.from_fold_probs("bob", "male", [0.9]),
              GenderPrediction.from_fold_probs("amy", "female", [0.9])]
-    for t in build_tables(tweets, preds):
+    for t in build_tables(stream_of(tweets), preds):
         male = sum(1 for tw in tweets if tw.year == t.year and tw.user_id == "bob")
         female = sum(1 for tw in tweets if tw.year == t.year and tw.user_id == "amy")
         assert t.a + t.b == male
@@ -292,11 +400,104 @@ def test_totals_against_brute_recount(rows):
 
 
 # ---------------------------------------------------------------------------
+# differential: column reader + bincount against the oracle reader + loop
+# ---------------------------------------------------------------------------
+
+AUTHORS = {"sf0001": "female", "sm0002": "male", "zo\u00eb": "female",
+           "\u30e6\u30fc\u30b6\u30fc": "male", 'quo"te': "male", "back\\slash": "female",
+           "tab\tid": "male", "": "female"}
+AUTHOR_PREDS = [GenderPrediction.from_fold_probs(u, g, [0.8]) for u, g in AUTHORS.items()]
+KEYS = ("tweet_id", "user_id", "year", "hbm", "tpb")
+# each is refused by both readers
+BAD_LINES = (
+    '{"tweet_id": "x", "user_id": "sf0001", "year": 0, "hbm": [], "tpb": null}',
+    '{"tweet_id": "x", "user_id": "sf0001", "year": -4}',
+    '{"tweet_id": "x", "user_id": "sf0001", "year": 2015, "hbm": ["bogus"], "tpb": null}',
+    '{"tweet_id": "x", "user_id": "sf0001", "year": 2015, "hbm": [], "tpb": "meh"}',
+    '{"tweet_id": "x", "user_id": "sf0001", "year": 2015, "hbm": "barriers"}',
+    '{"tweet_id": "x", "user_id": "sf0001", "year": 2015, "hbm": null}',
+    '{"tweet_id": "x", "user_id": "sf0001", "year": "x"}',
+    '{"tweet_id": "x", "user_id": "sf0001", "year": null}',
+    '{"tweet_id": "x", "year": 2015}',
+    '{"user_id": "sf0001", "year": 2015}',
+    '{"tweet_id": "x", "user_id": "sf0001"}',
+    '["x", "sf0001", 2015]',
+    'not json',
+)
+
+
+@st.composite
+def tweet_lines(draw):
+    """One valid tweet line, canonical or in any form JSON allows."""
+    year = draw(st.sampled_from([2014, 2015, 2016]))
+    names = draw(st.lists(st.sampled_from(HBM_CONSTRUCTS), max_size=5))
+    tpb = draw(st.sampled_from([None, *TPB_ATTITUDES]))
+    obj = {"tweet_id": f"t{draw(st.integers(0, 999))}",
+           "user_id": draw(st.sampled_from(sorted(AUTHORS))), "year": year,
+           "hbm": sorted(set(names)), "tpb": tpb}
+    if draw(st.booleans()):
+        return json.dumps(obj, ensure_ascii=False)      # as the writer emits it
+    obj["hbm"] = names                                  # any order, duplicates
+    if draw(st.booleans()):
+        obj["year"] = str(year)
+    if not names and draw(st.booleans()):
+        del obj["hbm"]
+    if tpb is None and draw(st.booleans()):
+        del obj["tpb"]
+    if draw(st.booleans()):
+        obj["text"] = draw(st.text(max_size=6))
+    keys = draw(st.permutations(list(obj)))
+    return json.dumps({k: obj[k] for k in keys}, ensure_ascii=draw(st.booleans()),
+                      separators=draw(st.sampled_from([(", ", ": "), (",", ":"),
+                                                       (" ,\t", " : ")])))
+
+
+@st.composite
+def tweet_streams(draw):
+    """``(file bytes, 1-based number of the one bad line or None)``."""
+    lines = draw(st.lists(tweet_lines(), min_size=1, max_size=25))
+    bad_at = None
+    if draw(st.booleans()):
+        bad_at = draw(st.integers(0, len(lines)))
+        lines.insert(bad_at, draw(st.sampled_from(BAD_LINES)))
+    physical, bad_line = [], None
+    for i, line in enumerate(lines):
+        physical += draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2))
+        if i == bad_at:
+            bad_line = len(physical) + 1
+        physical.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(physical) + (end if draw(st.booleans()) else "")
+    return text.encode("utf-8"), bad_line
+
+
+@settings(max_examples=200, deadline=None)
+@given(tweet_streams())
+def test_reader_and_tables_match_oracle(case):
+    data, bad_line = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tweets.jsonl"
+        path.write_bytes(data)
+        if bad_line is not None:
+            for read in (oracle_read, read_labeled_tweets_jsonl):
+                with pytest.raises(CorpusError) as err:
+                    read(path)
+                assert str(err.value).startswith(f"{path}, line {bad_line}:"), read
+            return
+        old, new = oracle_read(path), read_labeled_tweets_jsonl(path)
+    assert len(new) == len(old)
+    for denominator in ("all", "labeled"):
+        config = AnalysisConfig(denominator=denominator)
+        assert (cells(build_tables(new, AUTHOR_PREDS, config))
+                == cells(oracle_tables(old, AUTHOR_PREDS, config)))
+
+
+# ---------------------------------------------------------------------------
 # analyze + figure emission
 # ---------------------------------------------------------------------------
 
 def test_analyze_fills_all_fields():
-    tables = analyze(fixture_tweets(), fixture_preds())
+    tables = analyze(stream_of(fixture_tweets()), fixture_preds())
     for t in tables:
         assert t.odds_ratio > 0
         assert t.chi2 >= 0
@@ -357,6 +558,6 @@ def test_emit_requires_statistics(tmp_path):
 
 def test_full_pipeline_or_direction():
     # barriers: male odds 2/2 vs female odds 1/2, ratio 2
-    tables = by_construct(analyze(fixture_tweets(), fixture_preds()))
+    tables = by_construct(analyze(stream_of(fixture_tweets()), fixture_preds()))
     assert tables[("barriers", 2015)].odds_ratio == pytest.approx(2.0)
     assert math.isfinite(tables[("severity", 2015)].odds_ratio)

@@ -1,11 +1,13 @@
 """Tests for the synthetic corpus generators."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from genderfuse.corpus import HBM_CONSTRUCTS, TPB_ATTITUDES, write_labeled_tweets_jsonl
 from genderfuse.errors import ConfigError
 from genderfuse.stats import CONSTRUCTS, AnalysisConfig, analyze
 from genderfuse.synth import (
@@ -210,12 +212,13 @@ def stream():
                                         yearly_volumes={2014: 1500, 2016: 900}))
 
 
-def test_stream_volumes_and_years(stream):
-    per_year = {}
-    for t in stream.tweets:
-        per_year[t.year] = per_year.get(t.year, 0) + 1
-    assert per_year == {2014: 1500, 2016: 900}
-    assert len({t.tweet_id for t in stream.tweets}) == 2400
+def test_stream_volumes_and_years(stream, tmp_path):
+    years, counts = np.unique(stream.tweets.year, return_counts=True)
+    assert dict(zip(years.tolist(), counts.tolist())) == {2014: 1500, 2016: 900}
+    path = tmp_path / "tweets.jsonl"
+    write_labeled_tweets_jsonl(stream.tweets, path)
+    with open(path, encoding="utf-8") as fh:
+        assert len({json.loads(line)["tweet_id"] for line in fh}) == 2400
 
 
 def test_stream_predictions_are_perfect(stream):
@@ -229,18 +232,38 @@ def test_stream_predictions_are_perfect(stream):
 
 def test_stream_authors_resolve(stream):
     known = set(stream.genders)
-    assert {t.user_id for t in stream.tweets} <= known
+    assert set(stream.tweets.authors) <= known
+    assert len(set(stream.tweets.authors)) == len(stream.tweets.authors)
+    assert set(stream.tweets.author.tolist()) == set(range(len(stream.tweets.authors)))
 
 
 def test_stream_attitudes_binary(stream):
-    assert {t.tpb_attitude for t in stream.tweets} <= {"positive", "negative"}
+    assert ({TPB_ATTITUDES[c] for c in stream.tweets.tpb.tolist()}
+            <= {"positive", "negative"})
 
 
 def test_stream_deterministic(stream):
     again = gen_labeled_tweets(SynthSpec(users_per_class=60, seed=5,
                                          yearly_volumes={2014: 1500, 2016: 900}))
-    assert again.tweets == stream.tweets
+    assert again.tweets.authors == stream.tweets.authors
+    for column in ("author", "year", "hbm", "tpb"):
+        assert np.array_equal(getattr(again.tweets, column), getattr(stream.tweets, column))
     assert again.implied_or == stream.implied_or
+
+
+def test_stream_jsonl_frozen(tmp_path):
+    # written by the per-tweet generator this column generator replaced
+    frozen = (
+        '{"tweet_id": "t0", "user_id": "sm0002", "year": 2014, "hbm": ["severity", "susceptibility"], "tpb": "negative"}\n'
+        '{"tweet_id": "t1", "user_id": "sm0000", "year": 2014, "hbm": [], "tpb": "positive"}\n'
+        '{"tweet_id": "t2", "user_id": "sm0000", "year": 2014, "hbm": ["barriers", "severity"], "tpb": "negative"}\n'
+        '{"tweet_id": "t3", "user_id": "sf0001", "year": 2016, "hbm": ["barriers", "benefits"], "tpb": "negative"}\n'
+        '{"tweet_id": "t4", "user_id": "sf0000", "year": 2016, "hbm": [], "tpb": "negative"}\n'
+        '{"tweet_id": "t5", "user_id": "sm0000", "year": 2016, "hbm": ["barriers"], "tpb": "positive"}\n')
+    out = gen_labeled_tweets(SynthSpec(users_per_class=3, seed=0,
+                                       yearly_volumes={2016: 3, 2014: 3}))
+    write_labeled_tweets_jsonl(out.tweets, tmp_path / "t.jsonl")
+    assert (tmp_path / "t.jsonl").read_text(encoding="utf-8") == frozen
 
 
 def test_stream_implied_or_exposed(stream):
@@ -251,17 +274,13 @@ def test_stream_implied_or_exposed(stream):
 def test_empirical_rates_within_three_sigma():
     spec = SynthSpec(users_per_class=100, seed=9, yearly_volumes={2015: 12000})
     out = gen_labeled_tweets(spec)
-    genders = out.genders
-    n = {"male": 0, "female": 0}
-    hits = {("male", c): 0 for c in CONSTRUCTS}
-    hits.update({("female", c): 0 for c in CONSTRUCTS})
-    for t in out.tweets:
-        g = genders[t.user_id]
-        n[g] += 1
-        for c in t.hbm_constructs:
-            hits[g, c] += 1
-        if t.tpb_attitude == "positive":
-            hits[g, "tpb_positive"] += 1
+    t = out.tweets
+    gender = np.array([out.genders[u] for u in t.authors])[t.author]
+    member = {c: (t.hbm >> HBM_CONSTRUCTS.index(c) & 1).astype(bool) for c in CONSTRUCTS[:-1]}
+    member["tpb_positive"] = t.tpb == TPB_ATTITUDES.index("positive")
+    n = {g: int((gender == g).sum()) for g in ("male", "female")}
+    hits = {(g, c): int((member[c] & (gender == g)).sum())
+            for g in ("male", "female") for c in CONSTRUCTS}
     for c in CONSTRUCTS:
         pm, pf = spec.construct_rates[c]
         for g, p in (("male", pm), ("female", pf)):
