@@ -2,13 +2,10 @@
 # whole marker words.  Logistic regression and the linear SVM both find it,
 # and the heaviest feature weights turn out to be exactly the planted words.
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
-from genderfuse.baseline import (TfidfConfig, baseline_cv, load_baselines,
-                                 transform_docs, user_tokens)
+from genderfuse.baseline import (TfidfConfig, baseline_cv, count_ngrams, fit_linear,
+                                 fit_tfidf, transform_docs, user_tokens)
 from genderfuse.synth import MARKER_WORDS, SynthSpec, gen_gender_corpus
 from genderfuse.train import EnsembleReport
 
@@ -23,38 +20,29 @@ print()
 
 config = TfidfConfig(ngram_lo=1, ngram_hi=2, min_df=2, sublinear=True)
 report = EnsembleReport()
-with tempfile.TemporaryDirectory() as tmp:
-    model_path = Path(tmp) / "lr_folds.gflb"
-    for algo in ("LR", "SVM"):
-        summary, preds = baseline_cv(
-            corpus, algo, k=5, seed=0, test_corpus=held_out,
-            tfidf_config=config,
-            model_path=model_path if algo == "LR" else None)
-        report.add(algo, summary.folds, summary.voting)
-        accs = " ".join(f"{a:.2f}" for a in summary.folds)
-        print(f"{algo:<4} folds [{accs}]  voting {summary.voting:.3f}")
+for algo in ("LR", "SVM"):
+    summary, preds = baseline_cv(corpus, algo, k=5, seed=0, test_corpus=held_out,
+                                 tfidf_config=config)
+    report.add(algo, summary.folds, summary.voting)
+    accs = " ".join(f"{a:.2f}" for a in summary.folds)
+    print(f"{algo:<4} folds [{accs}]  voting {summary.voting:.3f}")
 
-    # round-trip the saved LR fold models and re-score the held-out users;
-    # the per-fold accuracies must reproduce the LR line above
-    algo, pairs = load_baselines(model_path)
-    docs = [user_tokens(u) for u in held_out]
-    labels = np.array([u.gender == "male" for u in held_out])
-    redone = [np.mean(lin.predict(transform_docs(tfidf, docs)) == labels)
-              for tfidf, lin in pairs]
-    accs = " ".join(f"{a:.2f}" for a in redone)
-    print(f"\nreloaded {len(pairs)} {algo} fold models from disk: "
-          f"folds [{accs}]")
-    tfidf, lin = pairs[0]
+# one LR model on every training user: count each author's n-grams once,
+# fit the TF-IDF weights on those counts, then the linear model on the rows
+counts = count_ngrams([user_tokens(u) for u in corpus], config)
+tfidf = fit_tfidf(counts)
+labels = np.array([u.gender == "male" for u in corpus], dtype=np.int64)
+lin = fit_linear(transform_docs(tfidf, counts), labels, "logistic", seed=0)
+print(f"\nLR on all {len(corpus)} training users: {tfidf.n_terms} n-gram features")
 
-    # positive decision weight means class index 1, which is "male"
-    inv = {col: term for term, col in tfidf.terms.items()}
-    order = np.argsort(lin.w)
-    print("\ntop female-weighted n-grams (fold 0):")
-    for col in order[:5]:
-        print(f"  {lin.w[col]:+.3f}  {inv[col]!r}")
-    print("top male-weighted n-grams (fold 0):")
-    for col in order[::-1][:5]:
-        print(f"  {lin.w[col]:+.3f}  {inv[col]!r}")
+# positive decision weight means class index 1, which is "male"
+order = np.argsort(lin.w)
+print("top female-weighted n-grams:")
+for col in order[:5]:
+    print(f"  {lin.w[col]:+.3f}  {tfidf.terms[col]!r}")
+print("top male-weighted n-grams:")
+for col in order[::-1][:5]:
+    print(f"  {lin.w[col]:+.3f}  {tfidf.terms[col]!r}")
 
 print()
 print(report.table())

@@ -3,14 +3,15 @@
 The non-deep reference systems: word n-gram TF-IDF vectors into a logistic
 regression ("LR") or a linear hinge-loss SVM ("SVM"), trained per fold with
 the identical stratified splits and majority-voting ensemble as the
-convolutional models.  TF-IDF statistics are fitted on each fold's training
-portion only, so validation documents never leak into the vocabulary.
+convolutional models.  Each author's n-grams are counted once per run into
+one (authors x n-grams) matrix; every fold selects its rows from it.  TF-IDF
+statistics are fitted on each fold's training rows only, so validation
+documents never leak into the vocabulary.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +19,9 @@ from scipy import sparse
 from scipy.special import expit
 
 from .corpus import GENDERS, GenderPrediction, gender_index, split_folds
-from .errors import BaselineError, CheckpointError
-from .ioutil import read_container, write_container
+from .errors import BaselineError
 from .textpipe import tokenize_tweets
 from .train import AlgoSummary, _accuracy, evaluate, vote_probs
-
-BASELINE_MAGIC = b"GFLB"
-BASELINE_VERSION = 1
 
 _ALGO_LOSS = {"LR": "logistic", "SVM": "hinge"}
 
@@ -47,87 +44,125 @@ class TfidfConfig:
         if self.min_df < 1:
             raise BaselineError(f"min_df must be >= 1, got {self.min_df}")
 
-    def to_json(self) -> dict:
-        return {"ngram_lo": self.ngram_lo, "ngram_hi": self.ngram_hi,
-                "min_df": self.min_df, "sublinear": self.sublinear}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "TfidfConfig":
-        return cls(**obj)
+@dataclass(frozen=True)
+class NgramCounts:
+    """A (documents x n-grams) count matrix in canonical CSR form.
+
+    ``grams[j]`` names column j: the n-gram's tokens joined by one space.
+    The columns are in string order.
+    """
+    grams: np.ndarray     # object array of str
+    X: sparse.csr_matrix  # int64 counts
+    config: TfidfConfig
+
+    def rows(self, idx) -> NgramCounts:
+        """The counts of documents ``idx``, in that order, over the same columns."""
+        return NgramCounts(self.grams, self.X[np.asarray(idx, dtype=np.int64)], self.config)
 
 
-def _ngrams(tokens, lo: int, hi: int):
-    for n in range(lo, hi + 1):
-        for i in range(len(tokens) - n + 1):
-            yield " ".join(tokens[i:i + n])
+def count_ngrams(docs, config: TfidfConfig | None = None) -> NgramCounts:
+    """Count the n-grams of each token list.
+
+    Tokens become int ids once.  Each n-gram order extends the codes of the
+    order below by one token id, and only distinct n-grams become strings.
+    """
+    config = config or TfidfConfig()
+    tokens = [t for toks in docs for t in toks]
+    ids: dict = {}
+    tok = np.array([ids.setdefault(t, len(ids)) for t in tokens], dtype=np.int64)
+    doc = np.repeat(np.arange(len(docs)), [len(toks) for toks in docs])
+    start = np.arange(len(tokens))   # first token of each n-gram of the current order
+    code = tok                       # which distinct n-gram of that order it is
+    strings, row, gram = [], [], []
+    for n in range(1, config.ngram_hi + 1):
+        if n > 1:   # extend each shorter n-gram by the next token of its document
+            end = start + n - 1
+            ok = end < len(tokens)
+            ok[ok] = doc[end[ok]] == doc[start[ok]]
+            start, code = start[ok], code[ok] * len(ids) + tok[end[ok]]
+        _, first, code = np.unique(code, return_index=True, return_inverse=True)
+        if n >= config.ngram_lo:
+            gram.append(code + len(strings))
+            strings += [" ".join(tokens[i:i + n]) for i in start[first].tolist()]
+            row.append(doc[start])
+    names, col = np.unique(np.array(strings, dtype=object), return_inverse=True)
+    cells = (np.concatenate(row), col[np.concatenate(gram)])
+    # duplicates (one n-gram seen twice in a document) are summed
+    X = sparse.csr_matrix((np.ones(len(cells[0]), dtype=np.int64), cells),
+                          shape=(len(docs), len(names)))
+    return NgramCounts(names, X, config)
+
+
+def _exact(f, values) -> np.ndarray:
+    """``f`` applied in Python floats to each distinct value.
+
+    Used with ``math.log``: ``np.log`` differs from it in the last bit for
+    some arguments, which would change the reports.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([f(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
 
 
 @dataclass
 class TfidfModel:
-    terms: dict           # n-gram -> column
+    grams: np.ndarray     # the columns of the counts it was fitted on
+    cols: np.ndarray      # the kept columns, increasing
     idf: np.ndarray
     config: TfidfConfig
 
     def __post_init__(self):
-        cols = sorted(self.terms.values())
-        if cols != list(range(len(cols))):
-            raise BaselineError("term columns are not contiguous from 0")
-        if len(self.idf) != len(self.terms):
+        cols = np.asarray(self.cols)
+        if cols.size and (cols[0] < 0 or cols[-1] >= len(self.grams)
+                          or np.any(np.diff(cols) <= 0)):
+            raise BaselineError("kept columns must increase within the count matrix")
+        if len(self.idf) != len(cols):
             raise BaselineError(
-                f"{len(self.idf)} idf weights for {len(self.terms)} terms")
+                f"{len(self.idf)} idf weights for {len(cols)} terms")
         if not np.all(np.isfinite(self.idf)) or np.any(self.idf <= 0):
             raise BaselineError("idf weights must be finite and positive")
 
     @property
+    def terms(self) -> np.ndarray:
+        """The kept n-grams; ``terms[j]`` names feature column j."""
+        return self.grams[self.cols]
+
+    @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return len(self.cols)
 
 
-def fit_tfidf(docs, config: TfidfConfig | None = None) -> TfidfModel:
-    """Vocabulary and idf weights from token lists.
+def fit_tfidf(counts: NgramCounts) -> TfidfModel:
+    """Kept columns and idf weights from the documents of ``counts``.
 
     idf(t) = ln((1+N)/(1+df(t))) + 1, so a term present in every document
     still carries weight 1.
     """
-    if not docs:
+    n = counts.X.shape[0]
+    if not n:
         raise BaselineError("fit_tfidf needs at least one document")
-    config = config or TfidfConfig()
-    df: Counter = Counter()
-    for toks in docs:
-        df.update(set(_ngrams(toks, config.ngram_lo, config.ngram_hi)))
-    kept = sorted(t for t, c in df.items() if c >= config.min_df)
-    if not kept:
+    df = np.bincount(counts.X.indices, minlength=len(counts.grams))
+    cols = np.flatnonzero(df >= counts.config.min_df)
+    if not cols.size:
         raise BaselineError(
-            f"no n-grams reach document frequency {config.min_df}; "
+            f"no n-grams reach document frequency {counts.config.min_df}; "
             "reduce min_df")
-    n = len(docs)
-    idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in kept])
-    return TfidfModel(terms={t: i for i, t in enumerate(kept)}, idf=idf,
-                      config=config)
+    idf = _exact(lambda d: math.log((1 + n) / (1 + d)) + 1.0, df[cols])
+    return TfidfModel(grams=counts.grams, cols=cols, idf=idf, config=counts.config)
 
 
-def transform_docs(model: TfidfModel, docs) -> sparse.csr_matrix:
-    """Stacked L2-normalized TF-IDF rows; unseen n-grams are ignored."""
-    cfg = model.config
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for toks in docs:
-        counts = Counter(g for g in _ngrams(toks, cfg.ngram_lo, cfg.ngram_hi)
-                         if g in model.terms)
-        cells = sorted((model.terms[g], c) for g, c in counts.items())
-        row = []
-        for col, c in cells:
-            tf = 1.0 + math.log(c) if cfg.sublinear else float(c)
-            row.append(tf * model.idf[col])
-        norm = math.sqrt(sum(v * v for v in row))
-        if norm > 0:
-            row = [v / norm for v in row]
-        indices.extend(col for col, _ in cells)
-        data.extend(row)
-        indptr.append(len(indices))
-    return sparse.csr_matrix((data, indices, indptr),
-                             shape=(len(indptr) - 1, model.n_terms))
+def transform_docs(model: TfidfModel, counts: NgramCounts) -> sparse.csr_matrix:
+    """Stacked L2-normalized TF-IDF rows over the model's kept columns."""
+    if counts.grams is not model.grams:
+        raise BaselineError("counts and model come from different count matrices")
+    X = counts.X[:, model.cols]      # kept columns, renumbered in order
+    tf = (_exact(lambda c: 1.0 + math.log(c), X.data) if model.config.sublinear
+          else X.data.astype(np.float64))
+    v = tf * model.idf[X.indices]
+    # bincount adds each row's squares in order, as a running sum does
+    row = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    norm = np.sqrt(np.bincount(row, weights=v * v, minlength=X.shape[0]))
+    return sparse.csr_matrix((v / norm[row], X.indices, X.indptr), shape=X.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +255,8 @@ def user_tokens(user) -> list:
 
 def baseline_cv(corpus, algo: str = "LR", *, k: int = 5, seed: int = 0,
                 test_corpus=None, tfidf_config: TfidfConfig | None = None,
-                lam: float = 1e-4, epochs: int = 10, lr: float = 0.1,
-                model_path=None) -> tuple[AlgoSummary, list[GenderPrediction]]:
+                lam: float = 1e-4, epochs: int = 10,
+                lr: float = 0.1) -> tuple[AlgoSummary, list[GenderPrediction]]:
     """Fold-wise TF-IDF + linear training with majority-voting ensemble.
 
     Mirrors the convolutional protocol: identical stratified folds for the
@@ -236,39 +271,38 @@ def baseline_cv(corpus, algo: str = "LR", *, k: int = 5, seed: int = 0,
             f"unknown algorithm {algo!r} (expected one of {sorted(_ALGO_LOSS)})")
     loss = _ALGO_LOSS[algo]
     folds = split_folds(corpus, k, seed)
-    token_docs = [user_tokens(u) for u in corpus]
     labels = np.array([gender_index(u.gender) for u in corpus])
-
+    n = len(corpus)
+    authors, eval_rows, eval_labels = list(corpus), np.arange(n), labels
     if test_corpus is not None:
         for u in test_corpus:
             if u.gender is None:
                 raise BaselineError(f"test user {u.user_id!r} has no gender label")
-        eval_tokens = [user_tokens(u) for u in test_corpus]
-        eval_ids = [u.user_id for u in test_corpus]
+        authors += test_corpus
+        eval_rows = np.arange(n, len(authors))
         eval_labels = np.array([gender_index(u.gender) for u in test_corpus])
-    else:
-        eval_tokens, eval_ids, eval_labels = token_docs, [u.user_id for u in corpus], labels
+    # test authors are counted too, but a fold's kept columns come from its
+    # training rows alone
+    counts = count_ngrams([user_tokens(u) for u in authors], tfidf_config)
+    eval_counts = counts.rows(eval_rows)
+    eval_ids = [authors[i].user_id for i in eval_rows]
 
-    pairs: list[tuple[TfidfModel, LinearModel]] = []
     fold_accs: list[float] = []
     all_probs = []
-    n = len(corpus)
     for i, val_idx in enumerate(folds):
-        tr = sorted(set(range(n)) - set(val_idx))
-        tfidf = fit_tfidf([token_docs[j] for j in tr], tfidf_config)
+        tr = np.setdiff1d(np.arange(n), val_idx)
+        train = counts.rows(tr)
+        tfidf = fit_tfidf(train)
         fold_seed, = np.random.SeedSequence([seed, i]).generate_state(1)
-        lin = fit_linear(transform_docs(tfidf, [token_docs[j] for j in tr]),
-                         labels[tr], loss, lam, epochs=epochs, lr=lr,
-                         seed=int(fold_seed))
-        probs = lin.predict_probs(transform_docs(tfidf, eval_tokens))
+        lin = fit_linear(transform_docs(tfidf, train), labels[tr], loss, lam,
+                         epochs=epochs, lr=lr, seed=int(fold_seed))
+        probs = lin.predict_probs(transform_docs(tfidf, eval_counts))
         if test_corpus is not None:
             fold_accs.append(_accuracy(probs, eval_labels))
         else:
-            val_probs = lin.predict_probs(
-                transform_docs(tfidf, [token_docs[j] for j in val_idx]))
+            val_probs = lin.predict_probs(transform_docs(tfidf, counts.rows(val_idx)))
             fold_accs.append(_accuracy(val_probs, labels[val_idx]))
         all_probs.append(probs)
-        pairs.append((tfidf, lin))
 
     voted, fold_probs = vote_probs(np.stack(all_probs))
     preds = [GenderPrediction.from_fold_probs(uid, GENDERS[voted[i]],
@@ -276,45 +310,4 @@ def baseline_cv(corpus, algo: str = "LR", *, k: int = 5, seed: int = 0,
              for i, uid in enumerate(eval_ids)]
     truth = dict(zip(eval_ids, (GENDERS[l] for l in eval_labels)))
     summary = AlgoSummary(tuple(fold_accs), evaluate(preds, truth))
-    if model_path is not None:
-        save_baselines(pairs, model_path, algo=algo)
     return summary, preds
-
-
-# ---------------------------------------------------------------------------
-# model files
-# ---------------------------------------------------------------------------
-
-def save_baselines(pairs, path, *, algo: str) -> None:
-    """All fold (TF-IDF, linear) pairs in one versioned binary file."""
-    parts = []
-    for tfidf, lin in pairs:
-        if len(lin.w) != tfidf.n_terms:
-            raise BaselineError(
-                f"{len(lin.w)} weights for {tfidf.n_terms} TF-IDF columns")
-        by_col = sorted(tfidf.terms, key=tfidf.terms.get)
-        parts.append(({"terms": by_col, "config": tfidf.config.to_json(),
-                       "bias": lin.b, "loss": lin.loss, "lam": lin.lam},
-                      np.concatenate([tfidf.idf, lin.w]).astype("<f8").tobytes()))
-    write_container(path, BASELINE_MAGIC, BASELINE_VERSION, {"algo": algo}, "folds", parts)
-
-
-def load_baselines(path) -> tuple[str, list[tuple[TfidfModel, LinearModel]]]:
-    def decode(header, parts):
-        pairs = []
-        for entry, raw in parts:
-            values = np.frombuffer(raw, dtype="<f8")
-            terms = entry["terms"]
-            if len(values) != 2 * len(terms):
-                raise CheckpointError(
-                    f"{path}: payload holds {len(values)} values for "
-                    f"{len(terms)} terms")
-            tfidf = TfidfModel(terms={t: i for i, t in enumerate(terms)},
-                               idf=values[:len(terms)].copy(),
-                               config=TfidfConfig.from_json(entry["config"]))
-            lin = LinearModel(w=values[len(terms):].copy(), b=entry["bias"],
-                              loss=entry["loss"], lam=entry["lam"])
-            pairs.append((tfidf, lin))
-        return header["algo"], pairs
-
-    return read_container(path, BASELINE_MAGIC, BASELINE_VERSION, "folds", decode)

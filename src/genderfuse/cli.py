@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import TfidfConfig, baseline_cv, fit_tfidf, transform_docs
+from .baseline import TfidfConfig, baseline_cv, count_ngrams, fit_tfidf, transform_docs
 from .corpus import (
     GENDERS,
     gender_index,
@@ -375,7 +375,7 @@ def _cmd_baseline(args) -> int:
                                  seed=args.seed, test_corpus=test,
                                  tfidf_config=tfidf, lam=cfg["baseline_l2"],
                                  epochs=cfg["baseline_epochs"],
-                                 lr=cfg["baseline_lr"], model_path=args.model)
+                                 lr=cfg["baseline_lr"])
     report = EnsembleReport()
     report.add(args.algo, summary.folds, summary.voting)
     print(report.table())
@@ -588,9 +588,9 @@ def _check_vote_tiebreak():
 
 
 def _check_tfidf_rows_unit_norm():
-    docs = [["a", "b", "a"], ["b", "c"], ["a", "c", "c"]]
-    model = fit_tfidf(docs, TfidfConfig(1, 1, 1, True))
-    X = transform_docs(model, docs)
+    counts = count_ngrams([["a", "b", "a"], ["b", "c"], ["a", "c", "c"]],
+                          TfidfConfig(1, 1, 1, True))
+    X = transform_docs(fit_tfidf(counts), counts)
     norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
     assert np.allclose(norms, 1.0, atol=1e-12), "rows are not unit length"
 
@@ -742,8 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", required=True, type=int)
     sp.add_argument("--folds", type=int)
     sp.add_argument("--test-users", metavar="FILE")
-    sp.add_argument("--model", metavar="FILE",
-                    help="save the per-fold linear models here")
     sp.add_argument("--out", metavar="FILE", help="predictions JSONL destination")
     sp.add_argument("--report", metavar="FILE", help="report JSON destination")
 

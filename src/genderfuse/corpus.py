@@ -238,9 +238,9 @@ def _tweet_labels(obj) -> tuple:
 def read_labeled_tweets_jsonl(path) -> TweetTable:
     """Read a labeled-tweet stream; every non-blank line is one JSON object.
 
-    ``tweet_id``, ``user_id`` and ``year`` are required, ``hbm`` (a list of
-    names, read as a set) and ``tpb`` (a name or null) are optional, and any
-    other field is ignored.  Lines exactly as
+    ``tweet_id``, ``user_id`` (a string) and ``year`` are required, ``hbm``
+    (a list of names, read as a set) and ``tpb`` (a name or null) are
+    optional, and any other field is ignored.  Lines exactly as
     :func:`write_labeled_tweets_jsonl` writes them skip the JSON decoder.
     """
     authors: dict = {}          # user id -> author index, in first-seen order
@@ -265,6 +265,8 @@ def read_labeled_tweets_jsonl(path) -> TweetTable:
                 elif line.strip():
                     obj = json_line(path, lineno, line)
                     _, uid = obj["tweet_id"], obj["user_id"]   # tweet_id is not kept
+                    if not isinstance(uid, str):
+                        raise TypeError(f"user_id must be a string, got {uid!r}")
                     a = authors.setdefault(uid, len(authors))
                     r = labels.setdefault(_tweet_labels(obj), len(labels))
                 else:

@@ -67,7 +67,7 @@ def write_json(path, obj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# binary container: checkpoints (.gfus) and baseline models (.gflb)
+# binary container: checkpoints (.gfus)
 # ---------------------------------------------------------------------------
 
 def write_container(path, magic: bytes, version: int, header: dict, key: str,

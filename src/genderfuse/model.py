@@ -359,14 +359,9 @@ def save_params(params: ModelParams, path) -> None:
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, "tensors", parts)
 
 
-def load_params(path, expect_fingerprint: str | None = None,
-                expect_arch: ArchConfig | None = None) -> ModelParams:
+def load_params(path, expect_fingerprint: str | None = None) -> ModelParams:
     def decode(header, parts) -> ModelParams:
         arch = ArchConfig.from_json(header["arch"])
-        if expect_arch is not None and expect_arch != arch:
-            raise CheckpointError(
-                f"{path}: checkpoint is {arch.variant!r} with different settings; "
-                f"expected {expect_arch.variant!r}")
         if expect_fingerprint is not None and header["fingerprint"] != expect_fingerprint:
             raise CheckpointError(
                 f"{path}: vocab fingerprint {header['fingerprint']} does not match "

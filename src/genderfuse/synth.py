@@ -105,6 +105,8 @@ class SynthSpec:
             if not (0.0 <= pm <= 1.0 and 0.0 <= pf <= 1.0):
                 raise ConfigError(f"{c}: rates {pair} outside [0,1]")
         for year, vol in self.yearly_volumes.items():
+            if year < 1:
+                raise ConfigError(f"years must be >= 1, got {year}")
             if vol < 1:
                 raise ConfigError(f"year {year}: volume must be positive, got {vol}")
 

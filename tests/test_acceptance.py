@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from genderfuse.baseline import baseline_cv, fit_tfidf, load_baselines, user_tokens
+from genderfuse.baseline import TfidfConfig, baseline_cv, user_tokens
 from genderfuse.cli import fd_gradcheck, main
 from genderfuse.corpus import split_folds
 from genderfuse.model import ArchConfig
@@ -26,6 +26,7 @@ from genderfuse.synth import SynthSpec, gen_gender_corpus, gen_labeled_tweets
 from genderfuse.tensor import Tensor, conv1d, max_over_time
 from genderfuse.textpipe import Vocab, build_doc, normalize, tokenize
 from genderfuse.train import EnsembleReport, evaluate, predict_ensemble, train_cv
+from test_baseline import fold_models, oracle_fit
 
 GOLDENS = Path(__file__).parent / "data" / "acceptance_goldens.json"
 
@@ -160,23 +161,21 @@ def test_criterion_4_protocol_fidelity(char_runs):
 # 5. baseline floor
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_baseline_floor(tmp_path):
+def test_criterion_5_baseline_floor(monkeypatch):
     corpus = gen_gender_corpus(SynthSpec(users_per_class=200, tweets_per_user=20,
                                          marker_rate=0.3, signal="word", seed=2))
     held_out = gen_gender_corpus(SynthSpec(users_per_class=50, tweets_per_user=20,
                                            marker_rate=0.3, signal="word", seed=3))
-    model_path = tmp_path / "lr.gflb"
-    summary, _ = baseline_cv(corpus, "LR", k=5, seed=0, test_corpus=held_out,
-                             model_path=model_path)
-    # leakage audit: every fold vocabulary must be derivable from its own
-    # train split alone
-    _, pairs = load_baselines(model_path)
+    models = fold_models(monkeypatch)
+    summary, _ = baseline_cv(corpus, "LR", k=5, seed=0, test_corpus=held_out)
+    # leakage audit: every fold model must be the string oracle fitted on
+    # that fold's train split alone, terms and idf weights both
     folds = split_folds(corpus, 5, seed=0)
-    leak_free = True
-    for i, (tfidf, _linear) in enumerate(pairs):
-        train_docs = [user_tokens(corpus[j]) for j in range(len(corpus))
-                      if j not in set(folds[i])]
-        leak_free &= fit_tfidf(train_docs, tfidf.config).terms == tfidf.terms
+    leak_free = len(models) == 5
+    for tfidf, val_idx in zip(models, folds):
+        train_docs = [user_tokens(u) for j, u in enumerate(corpus) if j not in set(val_idx)]
+        kept, idf = oracle_fit(train_docs, TfidfConfig())
+        leak_free &= list(tfidf.terms) == kept and tfidf.idf.tobytes() == idf.tobytes()
     ok = summary.voting >= 0.90 and leak_free
     verdict(5, "baseline floor", ok,
             f"LR voting {summary.voting:.3f} on held-out users, "

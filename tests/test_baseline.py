@@ -1,20 +1,112 @@
 """TF-IDF arithmetic, SGD linear models, and leakage-free fold protocol."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+import genderfuse.baseline as baseline
 from genderfuse.baseline import (LinearModel, TfidfConfig, TfidfModel, baseline_cv,
-                                 fit_linear, fit_tfidf, load_baselines,
-                                 save_baselines, transform_docs,
+                                 count_ngrams, fit_linear, fit_tfidf, transform_docs,
                                  user_tokens)
 from genderfuse.corpus import GENDERS, UserRecord, split_folds
-from genderfuse.errors import BaselineError, CheckpointError
+from genderfuse.errors import BaselineError
 
 UNIGRAMS = TfidfConfig(ngram_lo=1, ngram_hi=1, min_df=1, sublinear=False)
+
+
+# ---------------------------------------------------------------------------
+# string oracle: n-grams joined and counted per document, per call
+# ---------------------------------------------------------------------------
+
+def _ngrams(tokens, lo: int, hi: int):
+    for n in range(lo, hi + 1):
+        for i in range(len(tokens) - n + 1):
+            yield " ".join(tokens[i:i + n])
+
+
+def oracle_fit(docs, config: TfidfConfig):
+    """``(kept n-grams in string order, idf weights)`` of token lists."""
+    df: Counter = Counter()
+    for toks in docs:
+        df.update(set(_ngrams(toks, config.ngram_lo, config.ngram_hi)))
+    kept = sorted(t for t, c in df.items() if c >= config.min_df)
+    if not kept:
+        raise BaselineError(
+            f"no n-grams reach document frequency {config.min_df}; reduce min_df")
+    n = len(docs)
+    return kept, np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in kept])
+
+
+def oracle_transform(kept, idf, config: TfidfConfig, docs) -> sparse.csr_matrix:
+    terms = {t: i for i, t in enumerate(kept)}
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for toks in docs:
+        counts = Counter(g for g in _ngrams(toks, config.ngram_lo, config.ngram_hi)
+                         if g in terms)
+        cells = sorted((terms[g], c) for g, c in counts.items())
+        row = []
+        for col, c in cells:
+            tf = 1.0 + math.log(c) if config.sublinear else float(c)
+            row.append(tf * idf[col])
+        norm = math.sqrt(sum(v * v for v in row))
+        if norm > 0:
+            row = [v / norm for v in row]
+        indices.extend(col for col, _ in cells)
+        data.extend(row)
+        indptr.append(len(indices))
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, len(kept)))
+
+
+def fit(docs, config=UNIGRAMS) -> TfidfModel:
+    return fit_tfidf(count_ngrams(docs, config))
+
+
+def fit_transform(fit_docs, docs, config=UNIGRAMS):
+    """A model fitted on ``fit_docs`` and its rows for ``docs``, from one count matrix."""
+    counts = count_ngrams([*fit_docs, *docs], config)
+    model = fit_tfidf(counts.rows(range(len(fit_docs))))
+    return model, transform_docs(model, counts.rows(range(len(fit_docs), counts.X.shape[0])))
+
+
+def column(model: TfidfModel, term: str) -> int:
+    return list(model.terms).index(term)
+
+
+def csr_bytes(X) -> tuple:
+    return tuple((a.dtype.str, a.tobytes()) for a in (X.indptr, X.indices, X.data)) + (X.shape,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       docs=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f g"]), max_size=9),
+                     min_size=1, max_size=8),
+       ngrams=st.sampled_from([(1, 1), (1, 2), (2, 3)]),
+       min_df=st.integers(1, 3), sublinear=st.booleans())
+def test_count_matrix_matches_string_oracle(data, docs, ngrams, min_df, sublinear):
+    config = TfidfConfig(*ngrams, min_df=min_df, sublinear=sublinear)
+    # the last document shares no n-gram with any training document
+    docs = [*docs, ["zz", "zz", "zz"]]
+    train = sorted(data.draw(st.sets(st.integers(0, len(docs) - 2), min_size=1)))
+    query = [*data.draw(st.lists(st.integers(0, len(docs) - 1), max_size=6)), len(docs) - 1]
+    counts = count_ngrams(docs, config)
+    try:
+        kept, idf = oracle_fit([docs[i] for i in train], config)
+    except BaselineError:
+        with pytest.raises(BaselineError, match="min_df"):
+            fit_tfidf(counts.rows(train))
+        return
+    model = fit_tfidf(counts.rows(train))
+    assert list(model.terms) == kept
+    assert model.idf.tobytes() == idf.tobytes()
+    for rows in (train, query):
+        assert (csr_bytes(transform_docs(model, counts.rows(rows)))
+                == csr_bytes(oracle_transform(kept, idf, config, [docs[i] for i in rows])))
 
 
 # ---------------------------------------------------------------------------
@@ -22,37 +114,50 @@ UNIGRAMS = TfidfConfig(ngram_lo=1, ngram_hi=1, min_df=1, sublinear=False)
 # ---------------------------------------------------------------------------
 
 def test_idf_everywhere_term_is_one():
-    m = fit_tfidf([["red", "cat"], ["red", "dog"]], UNIGRAMS)
-    assert m.idf[m.terms["red"]] == pytest.approx(1.0, abs=1e-15)
+    m = fit([["red", "cat"], ["red", "dog"]])
+    assert m.idf[column(m, "red")] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_idf_rare_term_value():
     # N=3, df=1: ln((1+3)/(1+1)) + 1 = ln 2 + 1
-    m = fit_tfidf([["a", "b"], ["a"], ["a"]], UNIGRAMS)
-    assert m.idf[m.terms["b"]] == pytest.approx(1.6931471805599454, abs=1e-15)
+    m = fit([["a", "b"], ["a"], ["a"]])
+    assert m.idf[column(m, "b")] == pytest.approx(1.6931471805599454, abs=1e-15)
+
+
+def test_idf_is_math_log_to_the_bit():
+    # N=20, df=19: on some hosts np.log(21/20) differs from math.log in the last bit
+    m = fit([["a", "b"]] * 19 + [["b"]])
+    assert m.idf[column(m, "a")] == math.log(21 / 20) + 1.0
 
 
 def test_min_df_prunes_singletons():
-    m = fit_tfidf([["red", "cat"], ["red", "dog"]],
-                  TfidfConfig(ngram_lo=1, ngram_hi=1, min_df=2, sublinear=False))
+    m = fit([["red", "cat"], ["red", "dog"]],
+            TfidfConfig(ngram_lo=1, ngram_hi=1, min_df=2, sublinear=False))
     assert set(m.terms) == {"red"}
 
 
 def test_empty_vocabulary_suggests_min_df():
     with pytest.raises(BaselineError, match="min_df"):
-        fit_tfidf([["solo"]], TfidfConfig(min_df=2))
+        fit([["solo"]], TfidfConfig(min_df=2))
 
 
 def test_fit_needs_documents():
     with pytest.raises(BaselineError, match="at least one"):
-        fit_tfidf([], UNIGRAMS)
+        fit([])
 
 
 def test_bigrams_enter_vocabulary():
     docs = [["good", "morning", "all"], ["good", "morning", "folks"]]
-    m = fit_tfidf(docs, TfidfConfig(ngram_lo=1, ngram_hi=2, min_df=2,
-                                    sublinear=False))
+    m = fit(docs, TfidfConfig(ngram_lo=1, ngram_hi=2, min_df=2, sublinear=False))
     assert set(m.terms) == {"good", "morning", "good morning"}
+
+
+def test_count_matrix_columns_in_string_order():
+    counts = count_ngrams([["b", "a"], [], ["a", "b", "a"]],
+                          TfidfConfig(ngram_lo=1, ngram_hi=2, min_df=1))
+    assert list(counts.grams) == ["a", "a b", "b", "b a"]
+    np.testing.assert_array_equal(counts.X.toarray(),
+                                  [[1, 0, 1, 1], [0, 0, 0, 0], [2, 1, 1, 1]])
 
 
 def test_config_validation():
@@ -65,12 +170,14 @@ def test_config_validation():
 
 
 def test_model_invariants_enforced():
-    with pytest.raises(BaselineError, match="contiguous"):
-        TfidfModel(terms={"a": 0, "b": 2}, idf=np.ones(2), config=UNIGRAMS)
+    grams = np.array(["a", "b", "c"], dtype=object)
+    for cols in ([1, 1], [2, 0], [-1, 0], [1, 3]):
+        with pytest.raises(BaselineError, match="increase"):
+            TfidfModel(grams=grams, cols=np.array(cols), idf=np.ones(2), config=UNIGRAMS)
     with pytest.raises(BaselineError, match="positive"):
-        TfidfModel(terms={"a": 0}, idf=np.array([0.0]), config=UNIGRAMS)
+        TfidfModel(grams=grams, cols=np.array([0]), idf=np.array([0.0]), config=UNIGRAMS)
     with pytest.raises(BaselineError, match="idf weights for"):
-        TfidfModel(terms={"a": 0}, idf=np.ones(2), config=UNIGRAMS)
+        TfidfModel(grams=grams, cols=np.array([0]), idf=np.ones(2), config=UNIGRAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -81,42 +188,48 @@ def test_two_doc_vector_matches_manual_arithmetic():
     # d1 = [red, cat], d2 = [red, dog]; columns sort to cat=0, dog=1, red=2.
     # idf: red ln(3/3)+1 = 1, cat ln(3/2)+1 = 1.4054651081081644.
     # d1 raw tf-idf = [1.4054651..., 0, 1], norm 1.7249151196825583.
-    m = fit_tfidf([["red", "cat"], ["red", "dog"]], UNIGRAMS)
-    assert m.terms == {"cat": 0, "dog": 1, "red": 2}
-    row = transform_docs(m, [["red", "cat"]]).toarray()[0]
+    m, X = fit_transform([["red", "cat"], ["red", "dog"]], [["red", "cat"]])
+    assert list(m.terms) == ["cat", "dog", "red"]
     np.testing.assert_allclose(
-        row, [0.8148024746671689, 0.0, 0.5797386715376657], atol=1e-15)
+        X.toarray()[0], [0.8148024746671689, 0.0, 0.5797386715376657], atol=1e-15)
 
 
 def test_sublinear_tf_ratio():
     # both terms have idf 1; doubled token gets tf 1 + ln 2
     cfg = TfidfConfig(ngram_lo=1, ngram_hi=1, min_df=1, sublinear=True)
-    m = fit_tfidf([["red", "red", "cat"], ["red", "cat"]], cfg)
-    row = transform_docs(m, [["red", "red", "cat"]]).toarray()[0]
-    assert row[m.terms["red"]] / row[m.terms["cat"]] \
+    m, X = fit_transform([["red", "red", "cat"], ["red", "cat"]],
+                         [["red", "red", "cat"]], cfg)
+    row = X.toarray()[0]
+    assert row[column(m, "red")] / row[column(m, "cat")] \
         == pytest.approx(1.6931471805599454, abs=1e-12)
 
 
 def test_unknown_terms_give_zero_vector():
-    m = fit_tfidf([["red", "cat"], ["red", "dog"]], UNIGRAMS)
-    row = transform_docs(m, [["purple", "axolotl"]])
-    assert row.nnz == 0
+    _, X = fit_transform([["red", "cat"], ["red", "dog"]], [["purple", "axolotl"]])
+    assert X.shape == (1, 3) and X.nnz == 0
 
 
 def test_transform_docs_stacks_rows():
-    m = fit_tfidf([["red", "cat"], ["red", "dog"]], UNIGRAMS)
     docs = [["red", "cat"], ["dog"], ["nothing", "known"]]
-    X = transform_docs(m, docs)
+    counts = count_ngrams([["red", "cat"], ["red", "dog"], *docs], UNIGRAMS)
+    m = fit_tfidf(counts.rows([0, 1]))
+    X = transform_docs(m, counts.rows([2, 3, 4]))
     assert X.shape == (3, 3)
-    for i, d in enumerate(docs):
-        np.testing.assert_array_equal(X[i].toarray(), transform_docs(m, [d]).toarray())
+    for i in range(len(docs)):
+        np.testing.assert_array_equal(X[i].toarray(),
+                                      transform_docs(m, counts.rows([2 + i])).toarray())
+
+
+def test_transform_refuses_counts_of_other_documents():
+    m = fit([["red", "cat"], ["red", "dog"]])
+    with pytest.raises(BaselineError, match="different count matrices"):
+        transform_docs(m, count_ngrams([["red", "cat"], ["red", "dog"]], UNIGRAMS))
 
 
 @given(st.lists(st.lists(st.sampled_from("abcde"), min_size=0, max_size=8),
                 min_size=1, max_size=6))
 def test_rows_are_unit_or_zero(docs):
-    m = fit_tfidf([["a", "b", "c"], ["c", "d", "e"], ["a", "e"]], UNIGRAMS)
-    X = transform_docs(m, docs)
+    _, X = fit_transform([["a", "b", "c"], ["c", "d", "e"], ["a", "e"]], docs)
     norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
     for v in norms:
         assert v == 0.0 or abs(v - 1.0) < 1e-12
@@ -223,20 +336,37 @@ def test_separable_corpus_votes_correctly():
         assert [p.user_id for p in preds] == [u.user_id for u in corpus]
 
 
-def test_fold_vocabularies_differ_and_do_not_leak(tmp_path):
+def fold_models(monkeypatch) -> list:
+    """Every model ``baseline_cv`` fits from now on, in fold order."""
+    models = []
+
+    def recording(counts):
+        models.append(fit_tfidf(counts))
+        return models[-1]
+
+    monkeypatch.setattr(baseline, "fit_tfidf", recording)
+    return models
+
+
+def test_fold_vocabularies_differ_and_do_not_leak(monkeypatch):
     corpus = make_corpus()
+    held_out = make_corpus(2, tag="t")
     cfg = TfidfConfig(ngram_lo=1, ngram_hi=1, min_df=1, sublinear=False)
-    path = tmp_path / "lr.gflb"
-    baseline_cv(corpus, "LR", k=4, seed=3, tfidf_config=cfg, model_path=path)
-    _, pairs = load_baselines(path)
+    models = fold_models(monkeypatch)
+    baseline_cv(corpus, "LR", k=4, seed=3, tfidf_config=cfg, test_corpus=held_out)
     folds = split_folds(corpus, 4, 3)
-    vocab_sets = [set(t.terms) for t, _ in pairs]
+    assert len(models) == 4
+    vocab_sets = [set(m.terms) for m in models]
     assert any(a != b for a in vocab_sets for b in vocab_sets)
     for i, val_idx in enumerate(folds):
-        # a token unique to a held-out user never enters that fold's features
-        for j in val_idx:
-            unique = f"uniq{corpus[j].user_id}"
-            assert unique not in vocab_sets[i], (i, unique)
+        # each fold model is the oracle fitted on that fold's training split
+        kept, idf = oracle_fit([user_tokens(u) for j, u in enumerate(corpus)
+                                if j not in val_idx], cfg)
+        assert list(models[i].terms) == kept
+        assert models[i].idf.tobytes() == idf.tobytes()
+        # a token unique to a held-out or test user never enters its features
+        for uid in [corpus[j].user_id for j in val_idx] + [u.user_id for u in held_out]:
+            assert f"uniq{uid}" not in vocab_sets[i], (i, uid)
 
 
 def test_cv_with_test_corpus():
@@ -274,66 +404,3 @@ def test_user_tokens_normalizes():
     assert toks[0] == "<user>"
     assert "<url>" in toks
     assert "<hashtag>" in toks
-
-
-# ---------------------------------------------------------------------------
-# model files
-# ---------------------------------------------------------------------------
-
-def _fitted_pair():
-    m = fit_tfidf([["red", "cat"], ["red", "dog"], ["cat", "dog"]], UNIGRAMS)
-    X = transform_docs(m, [["red", "cat"], ["red", "dog"], ["cat", "dog"]])
-    lin = fit_linear(X, np.array([0, 1, 0]), "logistic", seed=5)
-    return m, lin
-
-
-def test_baseline_file_roundtrip(tmp_path):
-    pair = _fitted_pair()
-    path = tmp_path / "b.gflb"
-    save_baselines([pair, pair], path, algo="LR")
-    algo, pairs = load_baselines(path)
-    assert algo == "LR"
-    assert len(pairs) == 2
-    tf2, lin2 = pairs[0]
-    assert tf2.terms == pair[0].terms
-    assert tf2.config == pair[0].config
-    np.testing.assert_array_equal(tf2.idf, pair[0].idf)
-    np.testing.assert_array_equal(lin2.w, pair[1].w)
-    assert lin2.b == pair[1].b
-    assert lin2.loss == "logistic"
-    assert lin2.lam == pair[1].lam
-
-
-def test_baseline_file_bad_magic(tmp_path):
-    path = tmp_path / "junk.gflb"
-    path.write_bytes(b"NOPE" + b"\0" * 32)
-    with pytest.raises(CheckpointError, match="magic"):
-        load_baselines(path)
-
-
-def test_baseline_file_bad_version(tmp_path):
-    pair = _fitted_pair()
-    path = tmp_path / "b.gflb"
-    save_baselines([pair], path, algo="LR")
-    blob = bytearray(path.read_bytes())
-    blob[4] = 99
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="version 99"):
-        load_baselines(path)
-
-
-def test_baseline_file_truncated(tmp_path):
-    pair = _fitted_pair()
-    path = tmp_path / "b.gflb"
-    save_baselines([pair], path, algo="LR")
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-8])
-    with pytest.raises(CheckpointError, match="truncated|holds"):
-        load_baselines(path)
-
-
-def test_save_rejects_mismatched_pair(tmp_path):
-    m, lin = _fitted_pair()
-    bad = LinearModel(w=np.ones(m.n_terms + 2), b=0.0, loss="logistic", lam=0.0)
-    with pytest.raises(BaselineError, match="weights for"):
-        save_baselines([(m, bad)], tmp_path / "b.gflb", algo="LR")

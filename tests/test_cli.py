@@ -305,6 +305,7 @@ PRED_OK = '{"user_id": "a", "gender": "male", "fold_probs": [0.9], "avg_prob": 0
     ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": "a", "year": "x"}'),
     ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": "a", "year": 0}'),
     ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": "a", "year": 99999999999999999999}'),
+    ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": 7, "year": 2015}'),
     ("evaluate", PRED_OK, '{"user_id": "b", "gender": "male", "fold_probs": 5, "avg_prob": 1}'),
 ])
 def test_malformed_jsonl_is_data_error_naming_line(tmp_path, capsys, command, good, bad):

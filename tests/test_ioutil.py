@@ -1,4 +1,4 @@
-"""The binary container behind checkpoints (.gfus) and baseline models (.gflb)."""
+"""The binary container behind checkpoints (.gfus)."""
 
 import struct
 
@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genderfuse.baseline import (TfidfConfig, fit_linear, fit_tfidf, load_baselines,
-                                 save_baselines, transform_docs)
 from genderfuse.corpus import UserRecord
 from genderfuse.errors import CheckpointError
 from genderfuse.ioutil import read_container, write_container
@@ -16,8 +14,8 @@ from genderfuse.textpipe import build_vocab
 
 
 @pytest.fixture(scope="module")
-def valid_files(tmp_path_factory):
-    """A small valid file of each format, keyed by its loader."""
+def checkpoint(tmp_path_factory):
+    """The bytes of a small valid checkpoint, and a path to write mutants to."""
     root = tmp_path_factory.mktemp("container")
     users = [UserRecord("a", "female", ["the cat sat", "hello"]),
              UserRecord("b", "male", ["dogs run fast"])]
@@ -26,13 +24,7 @@ def valid_files(tmp_path_factory):
                       word_filters_per_width=2, dense_units=2, dropout=0.0)
     save_params(init_params(arch, build_vocab(users, min_word_freq=1), seed=0),
                 root / "m.gfus")
-    docs = [["red", "cat"], ["red", "dog"], ["cat", "dog"]]
-    tfidf = fit_tfidf(docs, TfidfConfig(1, 1, 1, False))
-    lin = fit_linear(transform_docs(tfidf, docs), np.array([0, 1, 0]), seed=5)
-    save_baselines([(tfidf, lin), (tfidf, lin)], root / "b.gflb", algo="LR")
-    return {load_params: (root / "m.gfus").read_bytes(),
-            load_baselines: (root / "b.gflb").read_bytes(),
-            "scratch": root / "mutated"}
+    return (root / "m.gfus").read_bytes(), root / "mutated"
 
 
 def raw_file(path, header: bytes, payload: bytes = b"") -> None:
@@ -76,10 +68,9 @@ def test_decoder_errors_become_checkpoint_errors(tmp_path):
         read_container(tmp_path / "c.bin", b"TEST", 1, "parts", decode)
 
 
-@pytest.mark.parametrize("load", [load_params, load_baselines])
-def test_every_truncation_is_checkpoint_error(valid_files, load):
-    blob = valid_files[load]
-    path = valid_files["scratch"]
+@pytest.mark.parametrize("load", [load_params])
+def test_every_truncation_is_checkpoint_error(checkpoint, load):
+    blob, path = checkpoint
     for n in range(len(blob)):
         path.write_bytes(blob[:n])
         with pytest.raises(CheckpointError):
@@ -87,13 +78,13 @@ def test_every_truncation_is_checkpoint_error(valid_files, load):
 
 
 @settings(max_examples=400, deadline=None)
-@given(load=st.sampled_from([load_params, load_baselines]), data=st.data())
-def test_single_byte_flip_loads_or_raises_checkpoint_error(valid_files, load, data):
-    blob = bytearray(valid_files[load])
+@given(data=st.data())
+def test_single_byte_flip_loads_or_raises_checkpoint_error(checkpoint, data):
+    blob, path = checkpoint
+    blob = bytearray(blob)
     blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
-    path = valid_files["scratch"]
     path.write_bytes(bytes(blob))
     try:
-        load(path)
+        load_params(path)
     except CheckpointError:
         pass

@@ -484,14 +484,6 @@ def test_checkpoint_version_mismatch(setup, tmp_path):
         load_params(path)
 
 
-def test_checkpoint_arch_mismatch(setup, tmp_path):
-    _, vocab, _, _ = setup
-    path = tmp_path / "model.gfus"
-    save_params(init_params(tiny_arch(variant="cnn"), vocab, seed=28), path)
-    with pytest.raises(CheckpointError, match="cnn"):
-        load_params(path, expect_arch=tiny_arch(variant="cnn_char_pos"))
-
-
 def test_checkpoint_fingerprint_mismatch(setup, tmp_path):
     _, vocab, _, _ = setup
     path = tmp_path / "model.gfus"

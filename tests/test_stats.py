@@ -225,6 +225,8 @@ class LabeledTweet:
     tpb_attitude: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.user_id, str):
+            raise CorpusError(f"tweet {self.tweet_id!r}: user_id must be a string")
         if self.year <= 0:
             raise CorpusError(f"tweet {self.tweet_id!r}: year must be positive")
         self.hbm_constructs = frozenset(self.hbm_constructs)
@@ -419,6 +421,8 @@ BAD_LINES = (
     '{"tweet_id": "x", "user_id": "sf0001", "year": "x"}',
     '{"tweet_id": "x", "user_id": "sf0001", "year": null}',
     '{"tweet_id": "x", "year": 2015}',
+    '{"tweet_id": "x", "user_id": 7, "year": 2015}',
+    '{"tweet_id": "x", "user_id": null, "year": 2015}',
     '{"user_id": "sf0001", "year": 2015}',
     '{"tweet_id": "x", "user_id": "sf0001"}',
     '["x", "sf0001", 2015]',

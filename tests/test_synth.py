@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from genderfuse.cli import main
 from genderfuse.corpus import HBM_CONSTRUCTS, TPB_ATTITUDES, write_labeled_tweets_jsonl
 from genderfuse.errors import ConfigError
 from genderfuse.stats import CONSTRUCTS, AnalysisConfig, analyze
@@ -58,6 +59,14 @@ def test_spec_defaults():
 def test_spec_rejects(kw):
     with pytest.raises(ConfigError):
         SynthSpec(**kw)
+
+
+def test_synth_tweets_refuses_year_zero(tmp_path, capsys):
+    out, preds = tmp_path / "tweets.jsonl", tmp_path / "truth.jsonl"
+    assert main(["synth", "tweets", "--seed", "1", "--volumes", "0=5,2015=5",
+                 "--out", str(out), "--preds-out", str(preds)]) == 2
+    assert "years must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists() and not preds.exists()
 
 
 def test_spec_rejects_rate_outside_unit_interval():
