@@ -17,7 +17,6 @@ keys are errors.  Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -39,7 +38,7 @@ from .corpus import (
     write_users_jsonl,
 )
 from .errors import ConfigError, CorpusError, GenderfuseError
-from .ioutil import write_json, write_jsonl
+from .ioutil import read_json, write_json, write_jsonl
 from .model import (
     ArchConfig,
     forward,
@@ -174,7 +173,12 @@ def resolve_config(config_flag, overrides) -> dict:
     cfg = {k: spec.default for k, spec in CONFIG_SPEC.items()}
     path = config_flag or os.environ.get("GENDERFUSE_CONFIG")
     if path:
-        text = Path(path).read_text(encoding="utf-8")
+        blob = Path(path).read_bytes()
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = blob.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
         cfg.update(parse_config_text(text, where=str(path)))
     for item in overrides or []:
         key, eq, value = item.partition("=")
@@ -208,6 +212,11 @@ def arch_from_config(cfg: dict) -> ArchConfig:
         batch_size=cfg["batch_size"],
         freeze_word_emb=cfg["freeze_word_emb"],
     )
+
+
+def tfidf_from_config(cfg: dict) -> TfidfConfig:
+    return TfidfConfig(ngram_lo=cfg["baseline_ngram_lo"], ngram_hi=cfg["baseline_ngram_hi"],
+                       min_df=cfg["baseline_min_df"], sublinear=cfg["baseline_sublinear"])
 
 
 def stats_config(cfg: dict) -> AnalysisConfig:
@@ -313,7 +322,7 @@ def _cmd_predict(args) -> int:
     vocab_path = workdir / "vocab.json"
     if not vocab_path.exists():
         raise CorpusError(f"{vocab_path}: missing; train in this directory first")
-    vocab = Vocab.from_json(json.loads(vocab_path.read_text(encoding="utf-8")))
+    vocab = read_json(vocab_path, Vocab.from_json)
     checkpoints = sorted(workdir.glob("fold*.gfus"))
     if not checkpoints:
         raise CorpusError(f"{workdir}: no fold checkpoints found")
@@ -367,13 +376,9 @@ def _cmd_baseline(args) -> int:
     _apply_flag_overrides(cfg, args)
     corpus = read_users_jsonl(args.users)
     test = read_users_jsonl(args.test_users) if args.test_users else None
-    tfidf = TfidfConfig(ngram_lo=cfg["baseline_ngram_lo"],
-                        ngram_hi=cfg["baseline_ngram_hi"],
-                        min_df=cfg["baseline_min_df"],
-                        sublinear=cfg["baseline_sublinear"])
     summary, preds = baseline_cv(corpus, args.algo, k=cfg["folds"],
                                  seed=args.seed, test_corpus=test,
-                                 tfidf_config=tfidf, lam=cfg["baseline_l2"],
+                                 tfidf_config=tfidf_from_config(cfg), lam=cfg["baseline_l2"],
                                  epochs=cfg["baseline_epochs"],
                                  lr=cfg["baseline_lr"])
     report = EnsembleReport()
@@ -481,9 +486,8 @@ def fd_gradcheck(seed: int = 0, h: float = 1e-5,
         xent, _ = softmax_xent(logits, batch.labels)
         return add(xent, l2_penalty(params.regularized(), params.arch.l2))
 
-    report = grad_check(loss_tensor, params.tensors, samples_per_tensor=coords_per_tensor,
-                        h=h, rng=np.random.default_rng(seed))
-    return {r.name: r.max_rel_err for r in report.results}
+    return grad_check(loss_tensor, params.tensors, samples_per_tensor=coords_per_tensor,
+                      h=h, rng=np.random.default_rng(seed))
 
 
 def _cmd_gradcheck(args) -> int:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorpusError
-from .ioutil import iter_jsonl, json_line, write_jsonl
+from .ioutil import iter_jsonl, json_line, text_lines, write_jsonl
 
 # Label encoding is fixed package-wide: female = 0, male = 1.
 GENDERS = ("female", "male")
@@ -128,16 +128,17 @@ def import_pan(author_dir, truth_path) -> tuple[list[UserRecord], list[str]]:
     author_dir = Path(author_dir)
     truth = {}
     if truth_path is not None and Path(truth_path).exists():
-        with open(truth_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(":::")
-                if len(parts) < 2:
-                    raise CorpusError(f"{truth_path}: bad truth row {line!r} (expected id:::gender)")
-                uid = parts[0].strip()
-                truth[uid] = _parse_gender(parts[1], where=f"{truth_path} (author {uid!r})")
+        for lineno, line in text_lines(truth_path):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(":::")
+            if len(parts) < 2:
+                raise CorpusError(f"{truth_path}, line {lineno}: bad truth row {line!r} "
+                                  "(expected id:::gender)")
+            uid = parts[0].strip()
+            truth[uid] = _parse_gender(parts[1],
+                                       where=f"{truth_path}, line {lineno} (author {uid!r})")
 
     users: list[UserRecord] = []
     warnings: list[str] = []
@@ -192,6 +193,8 @@ def read_users_jsonl(path) -> list[UserRecord]:
                 f"{seen[user.user_id]} and {lineno}")
         seen[user.user_id] = lineno
         users.append(user)
+    if not users:
+        raise CorpusError(f"{path}: no users")
     return users
 
 

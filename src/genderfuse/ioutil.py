@@ -1,4 +1,4 @@
-"""Atomic file output, line-oriented JSON helpers, and the binary container.
+"""Atomic file output, JSON and text readers, and checkpoint decoding errors.
 
 Every file this package writes goes through :func:`atomic_open`: content is
 written to a temporary file in the target directory and renamed into place
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -59,6 +58,34 @@ def iter_jsonl(path):
                 yield lineno, json_line(path, lineno, line)
 
 
+def text_lines(path):
+    """Yield ``(line number, text without its line ending)``, 1-based.
+
+    A line that is not UTF-8 raises :class:`CorpusError` naming the line.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(
+                    f"{path}, line {lineno}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_json(path, decode):
+    """``decode(obj)`` of the JSON object stored in ``path``.
+
+    Bytes that are not UTF-8, text that is not JSON, a value that is not an
+    object, and any way ``decode`` refuses the object raise
+    :class:`CheckpointError` naming the file.
+    """
+    with checkpoint_errors(path, "corrupt file"):
+        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+        return decode(obj)
+
+
 def write_json(path, obj) -> None:
     """Pretty, key-sorted JSON dump; byte-stable for identical inputs."""
     with atomic_open(path) as fh:
@@ -66,63 +93,17 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-# ---------------------------------------------------------------------------
-# binary container: checkpoints (.gfus)
-# ---------------------------------------------------------------------------
+@contextmanager
+def checkpoint_errors(path, what: str):
+    """Re-raise any way ``path`` fails to decode as a :class:`CheckpointError`.
 
-def write_container(path, magic: bytes, version: int, header: dict, key: str,
-                    parts) -> None:
-    """Magic, u32 version, u32 header length, JSON header, then the payload.
-
-    ``parts`` are ``(entry, raw bytes)`` pairs.  Each entry dict gains the
-    ``offset`` and ``nbytes`` of its bytes in the payload and is listed, in
-    order, under ``header[key]``.
+    Covers a missing key, a mistyped or unconvertible value, and any
+    :class:`GenderfuseError` a constructor raises; the message names the file.
     """
-    entries = []
-    offset = 0
-    for entry, raw in parts:
-        entries.append({**entry, "offset": offset, "nbytes": len(raw)})
-        offset += len(raw)
-    blob = json.dumps({**header, key: entries}, sort_keys=True).encode("utf-8")
-    with atomic_open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<II", version, len(blob)))
-        fh.write(blob)
-        for _, raw in parts:
-            fh.write(raw)
-
-
-def read_container(path, magic: bytes, version: int, key: str, decode):
-    """Return ``decode(header, parts)`` for a file written by :func:`write_container`.
-
-    ``parts`` pairs each entry under ``header[key]`` with its payload bytes.
-    Every way the file can be malformed, including a missing header key or a
-    value ``decode`` rejects, is raised as :class:`CheckpointError`.
-    """
-    blob = Path(path).read_bytes()
-    if blob[:4] != magic:
-        raise CheckpointError(f"{path}: not a {magic.decode()} file (bad magic)")
-    if len(blob) < 12:
-        raise CheckpointError(f"{path}: truncated header ({len(blob)} bytes)")
-    found, hlen = struct.unpack_from("<II", blob, 4)
-    if found != version:
-        raise CheckpointError(f"{path}: format version {found}, expected {version}")
-    if 12 + hlen > len(blob):
-        raise CheckpointError(f"{path}: truncated header ({hlen} bytes declared, "
-                              f"{len(blob) - 12} present)")
-    payload = blob[12 + hlen:]
     try:
-        header = json.loads(blob[12:12 + hlen].decode("utf-8"))
-        parts = []
-        for entry in header[key]:
-            lo, n = entry["offset"], entry["nbytes"]
-            raw = payload[lo:lo + n]
-            if lo < 0 or len(raw) != n:
-                raise CheckpointError(f"{path}: truncated payload ({n} bytes at {lo})")
-            parts.append((entry, raw))
-        return decode(header, parts)
+        yield
     except CheckpointError:
         raise
     except (GenderfuseError, KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise CheckpointError(f"{path}: corrupt header: {detail}") from exc
+        raise CheckpointError(f"{path}: {what}: {detail}") from exc

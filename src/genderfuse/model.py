@@ -10,12 +10,15 @@ ReLU, dropout, and a 2-way softmax output.  Labels: female = 0, male = 1.
 
 from __future__ import annotations
 
+import json
+import struct
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, ShapeError, TrainingError
-from .ioutil import read_container, write_container
+from .errors import CheckpointError, ConfigError, CorpusError, ShapeError, TrainingError
+from .ioutil import atomic_open, checkpoint_errors, text_lines
 from .tensor import (
     Adam,
     BatchNormState,
@@ -153,18 +156,20 @@ def read_embeddings(path) -> dict:
     """Parse a whitespace-separated text embedding file (token then reals)."""
     vectors: dict = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                continue
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ShapeError(
-                    f"{path}, line {lineno}: {len(values)} values, expected {dim}")
+    for lineno, line in text_lines(path):
+        parts = line.split(" ")
+        if len(parts) < 2:
+            continue
+        token, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise ShapeError(
+                f"{path}, line {lineno}: {len(values)} values, expected {dim}")
+        try:
             vectors[token] = np.asarray(values, dtype=np.float64)
+        except ValueError as exc:
+            raise CorpusError(f"{path}, line {lineno}: {exc}") from exc
     return vectors
 
 
@@ -305,7 +310,7 @@ def forward(params: ModelParams, batch: Batch, mode: str = "eval",
     h = relu(batch_norm(h, params.tensors["bn_gamma"], params.tensors["bn_beta"],
                         params.bn_state, mode=mode))
     if mode == "train" and arch.dropout > 0:
-        h = dropout(h, arch.dropout, mode="train", rng=rng)
+        h = dropout(h, arch.dropout, rng)
     logits = dense(h, params.tensors["out_w"], params.tensors["out_b"])
     return logits, _softmax_np(logits.data)
 
@@ -345,22 +350,63 @@ def predict_probs(params: ModelParams, docs, batch_size: int | None = None) -> n
 # ---------------------------------------------------------------------------
 
 def save_params(params: ModelParams, path) -> None:
-    """Binary checkpoint (see :func:`ioutil.write_container`), raw LE payload."""
+    """Write a ``.gfus`` checkpoint.
+
+    Layout: ``CHECKPOINT_MAGIC``, u32 version and u32 header length (little
+    endian), a key-sorted JSON header, then the raw little-endian payload.
+    The header holds the architecture, the vocabulary fingerprint, the dtype
+    and, under ``tensors``, each array's name, shape, and the offset and
+    nbytes of its bytes in the payload: the parameters in name order, then
+    the batch-norm running statistics.
+    """
     dtype = np.dtype(params.dtype).newbyteorder("<")
-    arrays = {name: t.data for name, t in params.tensors.items()}
-    stats = {"bn_running_mean": params.bn_state.mean, "bn_running_var": params.bn_state.var}
-    parts = []
-    for name in sorted(arrays) + sorted(stats):
-        arr = arrays[name] if name in arrays else stats[name]
-        parts.append(({"name": name, "shape": list(arr.shape)},
-                      np.ascontiguousarray(arr, dtype=dtype).tobytes()))
+    arrays = {name: t.data for name, t in sorted(params.tensors.items())}
+    arrays.update(bn_running_mean=params.bn_state.mean, bn_running_var=params.bn_state.var)
+    entries, raws, offset = [], [], 0
+    for name, arr in arrays.items():
+        raw = np.ascontiguousarray(arr, dtype=dtype).tobytes()
+        entries.append({"name": name, "shape": list(arr.shape),
+                        "offset": offset, "nbytes": len(raw)})
+        raws.append(raw)
+        offset += len(raw)
     header = {"arch": params.arch.to_json(), "fingerprint": params.fingerprint,
-              "dtype": dtype.str}
-    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, "tensors", parts)
+              "dtype": dtype.str, "tensors": entries}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+        fh.write(blob)
+        for raw in raws:
+            fh.write(raw)
 
 
 def load_params(path, expect_fingerprint: str | None = None) -> ModelParams:
-    def decode(header, parts) -> ModelParams:
+    """Read a :func:`save_params` checkpoint.
+
+    Every way the file can be malformed, including a missing header key or a
+    value that does not decode, is raised as :class:`CheckpointError`.
+    """
+    blob = Path(path).read_bytes()
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a {CHECKPOINT_MAGIC.decode()} file (bad magic)")
+    if len(blob) < 12:
+        raise CheckpointError(f"{path}: truncated header ({len(blob)} bytes)")
+    found, hlen = struct.unpack_from("<II", blob, 4)
+    if found != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: format version {found}, expected {CHECKPOINT_VERSION}")
+    if 12 + hlen > len(blob):
+        raise CheckpointError(f"{path}: truncated header ({hlen} bytes declared, "
+                              f"{len(blob) - 12} present)")
+    payload = blob[12 + hlen:]
+    with checkpoint_errors(path, "corrupt header"):
+        header = json.loads(blob[12:12 + hlen].decode("utf-8"))
+        parts = []
+        for entry in header["tensors"]:
+            lo, n = entry["offset"], entry["nbytes"]
+            raw = payload[lo:lo + n]
+            if lo < 0 or len(raw) != n:
+                raise CheckpointError(f"{path}: truncated payload ({n} bytes at {lo})")
+            parts.append((entry, raw))
         arch = ArchConfig.from_json(header["arch"])
         if expect_fingerprint is not None and header["fingerprint"] != expect_fingerprint:
             raise CheckpointError(
@@ -376,5 +422,3 @@ def load_params(path, expect_fingerprint: str | None = None) -> ModelParams:
         tensors = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
         return ModelParams(arch=arch, fingerprint=header["fingerprint"], tensors=tensors,
                            bn_state=BatchNormState(mean=mean, var=var))
-
-    return read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "tensors", decode)

@@ -180,10 +180,6 @@ class LabeledTweetSet:
     predictions: list       # perfect-confidence gender predictions
     implied_or: dict        # construct -> population odds ratio
 
-    @property
-    def genders(self) -> dict:
-        return {p.user_id: p.voted_gender for p in self.predictions}
-
 
 def gen_labeled_tweets(spec: SynthSpec) -> LabeledTweetSet:
     """Construct labels drawn per tweet from per-gender Bernoulli rates.

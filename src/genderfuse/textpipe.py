@@ -352,8 +352,9 @@ class Vocab:
     def word_id(self, surface: str) -> int:
         return self.words.get(surface, UNK_ID)
 
-    def char_ids(self, surface: str, max_chars: int) -> list[int]:
-        return [self.chars.get(c, UNK_ID) for c in surface[:max_chars]]
+    def char_ids(self, surface: str) -> list[int]:
+        """Char ids of the first ``MAX_TOKEN_CHARS`` characters of ``surface``."""
+        return [self.chars.get(c, UNK_ID) for c in surface[:MAX_TOKEN_CHARS]]
 
     def tag_id(self, tag: str) -> int:
         return self.tags.get(tag, UNK_ID)
@@ -427,7 +428,7 @@ def build_doc(user, vocab: Vocab) -> TokenizedDoc:
         tokens += toks[:MAX_DOC_TOKENS - len(tokens)]
     if not tokens:
         raise TextPipeError(f"user {user.user_id!r}: no tokens survive preprocessing")
-    chars = [vocab.char_ids(t, MAX_TOKEN_CHARS) for t in tokens]
+    chars = [vocab.char_ids(t) for t in tokens]
     lens = np.fromiter(map(len, chars), dtype=np.int64)
     char_ids = np.zeros((len(tokens), lens.max()), dtype=np.int64)
     char_ids[np.arange(lens.max()) < lens[:, None]] = list(chain.from_iterable(chars))

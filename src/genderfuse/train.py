@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,9 +24,9 @@ import numpy as np
 
 from .corpus import GENDERS, GenderPrediction, gender_index, split_folds
 from .errors import CheckpointError, ShapeError, TrainingError
-from .ioutil import write_json
-from .model import (ArchConfig, ModelParams, init_params, load_params,
-                    make_batch, predict_probs, save_params, train_step)
+from .ioutil import read_json, write_json
+from .model import (ArchConfig, init_params, load_params, make_batch,
+                    predict_probs, save_params, train_step)
 from .tensor import Adam
 from .textpipe import Vocab, build_doc, build_vocab
 
@@ -77,6 +76,8 @@ class FoldResult:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FoldResult":
+        if not isinstance(obj["checkpoint"], (str, type(None))):
+            raise TypeError(f"checkpoint must be a path or null, got {obj['checkpoint']!r}")
         return cls(fold=int(obj["fold"]), checkpoint=obj["checkpoint"],
                    val_trace=[float(a) for a in obj["val_trace"]],
                    best_epoch=int(obj["best_epoch"]),
@@ -218,11 +219,6 @@ def _embeddings_digest(pretrained: dict) -> str:
     return h.hexdigest()
 
 
-def _run_fold_args(args) -> FoldResult:
-    # process-pool entry point (pool.map passes a single tuple)
-    return _run_fold(*args)
-
-
 def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
              seed: int = 0, workdir, pretrained: dict | None = None,
              test_corpus=None, min_word_freq: int = 2,
@@ -245,7 +241,7 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
     vocab = build_vocab(corpus, min_word_freq=min_word_freq)
     vocab_path = workdir / "vocab.json"
     if vocab_path.exists():
-        stored = Vocab.from_json(json.loads(vocab_path.read_text(encoding="utf-8")))
+        stored = read_json(vocab_path, Vocab.from_json)
         if stored.fingerprint() != vocab.fingerprint():
             raise TrainingError(
                 f"{vocab_path}: stored vocabulary does not match this corpus; "
@@ -275,13 +271,12 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
     for i in range(k):
         meta_path = workdir / f"fold{i}.json"
         if meta_path.exists():
-            obj = json.loads(meta_path.read_text(encoding="utf-8"))
+            obj, fr = read_json(meta_path, lambda obj: (obj, FoldResult.from_json(obj)))
             changed = [key for key in manifest if obj.get(key) != manifest[key]]
             if changed:
                 raise TrainingError(
                     f"{meta_path}: recorded run differs in {', '.join(changed)}; "
                     "use a fresh work directory")
-            fr = FoldResult.from_json(obj)
             if fr.checkpoint and Path(fr.checkpoint).exists():
                 log.info("fold %d: reusing checkpoint %s", i, fr.checkpoint)
                 results[i] = fr
@@ -300,11 +295,11 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
 
     if jobs > 1 and len(jobs_args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for fr in pool.map(_run_fold_args, jobs_args):
+            for fr in pool.map(_run_fold, *zip(*jobs_args)):
                 results[fr.fold] = fr
     else:
         for args in jobs_args:
-            fr = _run_fold_args(args)
+            fr = _run_fold(*args)
             results[fr.fold] = fr
 
     for i, fr in results.items():
@@ -340,13 +335,12 @@ def vote_probs(all_probs) -> tuple[np.ndarray, np.ndarray]:
 
 def predict_ensemble(checkpoints, docs,
                      batch_size: int | None = None) -> list[GenderPrediction]:
-    """Voted predictions from k models over tokenized documents.
+    """Voted predictions from k checkpoint files over tokenized documents.
 
-    ``checkpoints`` may be paths or loaded :class:`ModelParams`; all members
-    must share the architecture and the vocabulary fingerprint of the docs.
+    All members must share the architecture and the vocabulary fingerprint
+    of the docs.
     """
-    models = [c if isinstance(c, ModelParams) else load_params(c)
-              for c in checkpoints]
+    models = [load_params(c) for c in checkpoints]
     if not models:
         raise CheckpointError("ensemble needs at least one model")
     fp = docs[0].fingerprint if docs else models[0].fingerprint
@@ -364,17 +358,11 @@ def predict_ensemble(checkpoints, docs,
             for i, doc in enumerate(docs)]
 
 
-def _truth_map(truth) -> dict:
-    if isinstance(truth, Mapping):
-        return dict(truth)
-    return {u.user_id: u.gender for u in truth}
-
-
-def evaluate(preds, truth) -> float:
-    """Fraction of voted predictions matching the truth labels."""
+def evaluate(preds, users) -> float:
+    """Fraction of voted predictions matching the gender labels of ``users``."""
     if not preds:
         raise TrainingError("cannot evaluate an empty prediction list")
-    tm = _truth_map(truth)
+    tm = {u.user_id: u.gender for u in users}
     correct = 0
     for p in preds:
         label = tm.get(p.user_id)

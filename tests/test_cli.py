@@ -1,9 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
+import inspect
 import json
+import shutil
+import warnings
 
 import pytest
 
+from genderfuse.baseline import TfidfConfig, baseline_cv
 from genderfuse.cli import (
     CONFIG_SPEC,
     UsageError,
@@ -11,10 +15,15 @@ from genderfuse.cli import (
     main,
     parse_config_text,
     resolve_config,
+    stats_config,
+    tfidf_from_config,
 )
 from genderfuse.corpus import GenderPrediction, UserRecord, write_predictions_jsonl, write_users_jsonl
 from genderfuse.errors import ConfigError
+from genderfuse.model import ArchConfig
+from genderfuse.stats import AnalysisConfig
 from genderfuse.textpipe import build_doc
+from genderfuse.train import coverage, coverage_summary, train_cv
 
 
 @pytest.fixture(autouse=True)
@@ -89,6 +98,22 @@ def test_default_arch_matches_reference_recipe():
     assert arch.l2 == 1e-5
     assert arch.lr == 0.001
     assert arch.batch_size == 64
+
+
+def test_cli_defaults_equal_library_defaults():
+    cfg = resolve_config(None, None)
+    assert arch_from_config(cfg) == ArchConfig()
+    assert tfidf_from_config(cfg) == TfidfConfig()
+    assert stats_config(cfg) == AnalysisConfig()
+    for fn, keys in ((train_cv, {"k": "folds", "epochs": "epochs",
+                                 "min_word_freq": "min_word_freq", "jobs": "jobs"}),
+                     (baseline_cv, {"k": "folds", "lam": "baseline_l2",
+                                    "epochs": "baseline_epochs", "lr": "baseline_lr"}),
+                     (coverage, {"threshold": "coverage_threshold"}),
+                     (coverage_summary, {"threshold": "coverage_threshold"})):
+        params = inspect.signature(fn).parameters
+        for name, key in keys.items():
+            assert params[name].default == cfg[key], (fn.__name__, name, key)
 
 
 def test_help_documents_every_config_key(capsys):
@@ -288,6 +313,113 @@ def test_predict_on_six_byte_checkpoint_is_data_error(tmp_path, users_file, trai
     assert main(["predict", "--workdir", str(tmp_path), "--users", str(users_file),
                  "--out", str(tmp_path / "p.jsonl")]) == 2
     assert "truncated header" in capsys.readouterr().err
+
+
+def _copy_workdir(src, dst):
+    dst.mkdir()
+    for path in src.glob("*"):
+        if path.name != "report.json":
+            shutil.copy(path, dst / path.name)
+    return dst
+
+
+def _corrupt(path, data):
+    path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode("utf-8"))
+
+
+def _drop_key(path, key):
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    del obj[key]
+    _corrupt(path, obj)
+
+
+# (case, what the message names, the command run on a copy of the trained
+# workdir after the corruption)
+BAD_INPUTS = [
+    ("vocab_truncated", "vocab.json", "predict",
+     lambda w: _corrupt(w / "vocab.json", (w / "vocab.json").read_bytes()[:20])),
+    ("vocab_empty_object", "vocab.json: corrupt file: missing key 'words'", "predict",
+     lambda w: _corrupt(w / "vocab.json", {})),
+    ("vocab_not_object", "vocab.json: corrupt file: expected a JSON object", "predict",
+     lambda w: _corrupt(w / "vocab.json", ["a", "b"])),
+    ("vocab_not_utf8", "vocab.json: corrupt file", "predict",
+     lambda w: _corrupt(w / "vocab.json", b'{"words": ["\xff"]}')),
+    ("fold_truncated", "fold0.json: corrupt file", "resume",
+     lambda w: _corrupt(w / "fold0.json", (w / "fold0.json").read_bytes()[:30])),
+    ("fold_without_trace", "fold0.json: corrupt file: missing key 'val_trace'", "resume",
+     lambda w: _drop_key(w / "fold0.json", "val_trace")),
+    ("fold_bad_checkpoint", "fold1.json: corrupt file: checkpoint must be", "resume",
+     lambda w: _corrupt(w / "fold1.json", {**json.loads((w / "fold1.json").read_text()),
+                                           "checkpoint": 5})),
+    ("fold_bad_trace", "fold0.json: corrupt file", "resume",
+     lambda w: _corrupt(w / "fold0.json", {**json.loads((w / "fold0.json").read_text()),
+                                           "val_trace": ["high"]})),
+    ("resume_vocab_truncated", "vocab.json: corrupt file", "resume",
+     lambda w: _corrupt(w / "vocab.json", (w / "vocab.json").read_bytes()[:20])),
+    ("config_not_utf8", "bad.cfg:2: not UTF-8", "config",
+     lambda w: (w / "bad.cfg").write_bytes(b"folds = 3\n# caf\xff\n")),
+    ("truth_not_utf8", "truth.txt, line 2: not UTF-8", "import-pan",
+     lambda w: (w / "truth.txt").write_bytes(b"alice:::female\nb\xffb:::male\n")),
+    ("embeddings_not_numbers", "emb.txt, line 2: could not convert", "embeddings",
+     lambda w: (w / "emb.txt").write_text("cat 1 2 3 4\ntub 1 x 3 4\n")),
+    ("embeddings_not_utf8", "emb.txt, line 1: not UTF-8", "embeddings",
+     lambda w: (w / "emb.txt").write_bytes(b"c\xfft 1 2 3 4\n")),
+]
+
+
+@pytest.mark.parametrize("case, names, command, corrupt", BAD_INPUTS,
+                         ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_file_is_data_error_naming_it(tmp_path, users_file, trained, capsys,
+                                                case, names, command, corrupt):
+    work = _copy_workdir(trained, tmp_path / "w")
+    corrupt(work)
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    out = tmp_path / "out.jsonl"
+    pan = tmp_path / "pan"
+    pan.mkdir()
+    (pan / "alice.xml").write_text(
+        "<author><documents><document>hello world</document></documents></author>")
+    fresh = ["train", "--users", str(users_file), "--workdir", str(tmp_path / "new"),
+             "--seed", "7", "--folds", "3", "--epochs", "2", *TINY]
+    argv = {
+        "predict": ["predict", "--workdir", str(work), "--users", str(users_file),
+                    "--out", str(out)],
+        "resume": train_args(users_file, work) + ["--resume"],
+        "config": fresh + ["--config", str(work / "bad.cfg")],
+        "import-pan": ["import-pan", str(pan), "--truth", str(work / "truth.txt"),
+                       "--out", str(out)],
+        "embeddings": fresh + ["--embeddings", str(work / "emb.txt")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert names in err, err
+    assert not out.exists() and not (tmp_path / "new").exists()
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["train", "train_test", "baseline_test", "predict"])
+def test_empty_users_file_is_refused_on_read(tmp_path, users_file, trained, capsys, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    work, out = tmp_path / "w", tmp_path / "out.jsonl"
+    argv = {
+        "train": ["train", "--users", str(empty), "--workdir", str(work), "--seed", "1",
+                  *TINY],
+        "train_test": ["train", "--users", str(users_file), "--test-users", str(empty),
+                       "--workdir", str(work), "--seed", "1", *TINY],
+        "baseline_test": ["baseline", "--users", str(users_file), "--test-users", str(empty),
+                          "--seed", "1", "--folds", "2", "--out", str(out),
+                          "--report", str(tmp_path / "r.json")],
+        "predict": ["predict", "--workdir", str(trained), "--users", str(empty),
+                    "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert f"{empty}: no users" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
 
 
 USER_OK = '{"user_id": "a", "gender": "female", "tweets": ["hi there"]}'

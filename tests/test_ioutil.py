@@ -1,5 +1,6 @@
-"""The binary container behind checkpoints (.gfus)."""
+"""The .gfus checkpoint container: layout, and every malformation as CheckpointError."""
 
+import json
 import struct
 
 import numpy as np
@@ -8,64 +9,83 @@ from hypothesis import given, settings, strategies as st
 
 from genderfuse.corpus import UserRecord
 from genderfuse.errors import CheckpointError
-from genderfuse.ioutil import read_container, write_container
 from genderfuse.model import ArchConfig, init_params, load_params, save_params
 from genderfuse.textpipe import build_vocab
 
 
 @pytest.fixture(scope="module")
-def checkpoint(tmp_path_factory):
-    """The bytes of a small valid checkpoint, and a path to write mutants to."""
-    root = tmp_path_factory.mktemp("container")
+def params():
     users = [UserRecord("a", "female", ["the cat sat", "hello"]),
              UserRecord("b", "male", ["dogs run fast"])]
     arch = ArchConfig(variant="cnn_char_pos", word_dim=3, char_dim=2, pos_dim=2,
                       char_filters=2, word_filter_widths=(1, 2),
                       word_filters_per_width=2, dense_units=2, dropout=0.0)
-    save_params(init_params(arch, build_vocab(users, min_word_freq=1), seed=0),
-                root / "m.gfus")
+    return init_params(arch, build_vocab(users, min_word_freq=1), seed=0)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(params, tmp_path_factory):
+    """The bytes of a small valid checkpoint, and a path to write mutants to."""
+    root = tmp_path_factory.mktemp("container")
+    save_params(params, root / "m.gfus")
     return (root / "m.gfus").read_bytes(), root / "mutated"
 
 
-def raw_file(path, header: bytes, payload: bytes = b"") -> None:
-    path.write_bytes(b"TEST" + struct.pack("<II", 1, len(header)) + header + payload)
-
-
-def test_roundtrip_and_layout(tmp_path):
-    path = tmp_path / "c.bin"
-    write_container(path, b"TEST", 3, {"note": "x"}, "parts",
-                    [({"id": 0}, b"abc"), ({"id": 1}, b"")])
-    blob = path.read_bytes()
+def split(blob: bytes) -> tuple[dict, bytes]:
+    """The JSON header and the payload of a checkpoint."""
     version, hlen = struct.unpack_from("<II", blob, 4)
-    assert blob[:4] == b"TEST" and version == 3 and blob[12 + hlen:] == b"abc"
-    header, parts = read_container(path, b"TEST", 3, "parts", lambda h, p: (h, p))
-    assert header["note"] == "x"
-    assert parts == [({"id": 0, "offset": 0, "nbytes": 3}, b"abc"),
-                     ({"id": 1, "offset": 3, "nbytes": 0}, b"")]
+    assert blob[:4] == b"GFUS" and version == 1
+    return json.loads(blob[12:12 + hlen]), blob[12 + hlen:]
 
 
-@pytest.mark.parametrize("header, key", [(b"{}", "parts"),
-                                         (b'{"parts": [{"offset": 0}]}', "nbytes")])
+def raw_file(path, header: bytes, payload: bytes = b"") -> None:
+    path.write_bytes(b"GFUS" + struct.pack("<II", 1, len(header)) + header + payload)
+
+
+def test_roundtrip_and_layout(params, checkpoint, tmp_path):
+    blob, _ = checkpoint
+    header, payload = split(blob)
+    arrays = {name: t.data for name, t in params.tensors.items()}
+    arrays.update(bn_running_mean=params.bn_state.mean, bn_running_var=params.bn_state.var)
+    names = [e["name"] for e in header["tensors"]]
+    assert names == sorted(params.tensors) + ["bn_running_mean", "bn_running_var"]
+    offset = 0
+    for e in header["tensors"]:
+        assert (e["offset"], e["shape"]) == (offset, list(arrays[e["name"]].shape))
+        assert payload[offset:offset + e["nbytes"]] == arrays[e["name"]].astype("<f4").tobytes()
+        offset += e["nbytes"]
+    assert offset == len(payload)
+    assert header["fingerprint"] == params.fingerprint and header["dtype"] == "<f4"
+    (tmp_path / "m.gfus").write_bytes(blob)
+    back = load_params(tmp_path / "m.gfus")
+    assert back.arch == params.arch
+    for name, t in params.tensors.items():
+        assert np.array_equal(back.tensors[name].data, t.data), name
+    assert np.array_equal(back.bn_state.var, params.bn_state.var)
+
+
+@pytest.mark.parametrize("header, key", [(b"{}", "tensors"),
+                                         (b'{"tensors": [{"offset": 0}]}', "nbytes")])
 def test_missing_header_key_is_checkpoint_error(tmp_path, header, key):
-    raw_file(tmp_path / "c.bin", header)
+    raw_file(tmp_path / "c.gfus", header)
     with pytest.raises(CheckpointError, match=f"missing key '{key}'"):
-        read_container(tmp_path / "c.bin", b"TEST", 1, "parts", lambda h, p: p)
+        load_params(tmp_path / "c.gfus")
 
 
 def test_negative_offset_is_refused(tmp_path):
-    raw_file(tmp_path / "c.bin", b'{"parts": [{"offset": -4, "nbytes": 4}]}', b"abcd")
+    raw_file(tmp_path / "c.gfus", b'{"tensors": [{"offset": -4, "nbytes": 4}]}', b"abcd")
     with pytest.raises(CheckpointError, match="truncated payload"):
-        read_container(tmp_path / "c.bin", b"TEST", 1, "parts", lambda h, p: p)
+        load_params(tmp_path / "c.gfus")
 
 
-def test_decoder_errors_become_checkpoint_errors(tmp_path):
-    raw_file(tmp_path / "c.bin", b'{"parts": [{"offset": 0, "nbytes": 3}]}', b"abc")
-
-    def decode(header, parts):
-        return np.frombuffer(parts[0][1], dtype="<f8")
-
+def test_decoder_errors_become_checkpoint_errors(checkpoint, tmp_path):
+    # a well-formed container whose one tensor is 3 bytes of float64
+    header, _ = split(checkpoint[0])
+    header["dtype"] = "<f8"
+    header["tensors"] = [{"name": "w", "shape": [1], "offset": 0, "nbytes": 3}]
+    raw_file(tmp_path / "c.gfus", json.dumps(header).encode("utf-8"), b"abc")
     with pytest.raises(CheckpointError, match="corrupt header"):
-        read_container(tmp_path / "c.bin", b"TEST", 1, "parts", decode)
+        load_params(tmp_path / "c.gfus")
 
 
 @pytest.mark.parametrize("load", [load_params])

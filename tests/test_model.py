@@ -212,7 +212,7 @@ def make_batch_oracle(users, vocab, labels=None) -> Batch:
     streams = []
     for u in users:
         toks = [t for tweet in tokenize_tweets(u.tweets) for t in tweet][:MAX_DOC_TOKENS]
-        streams.append([(vocab.word_id(t), vocab.char_ids(t, MAX_TOKEN_CHARS), vocab.tag_id(g))
+        streams.append([(vocab.word_id(t), vocab.char_ids(t), vocab.tag_id(g))
                         for t, g in zip(toks, pos_tag(toks))])
     b = len(streams)
     t_max = max(len(s) for s in streams)
@@ -432,9 +432,9 @@ def test_full_model_gradients(setup):
         xent, _ = softmax_xent(logits, batch.labels)
         return add(xent, l2_penalty(p.regularized(), 1e-3))
 
-    report = grad_check(loss, p.tensors, samples_per_tensor=4,
+    errors = grad_check(loss, p.tensors, samples_per_tensor=4,
                         rng=np.random.default_rng(23))
-    assert report.passed, report.summary()
+    assert max(errors.values()) < 1e-4, errors
 
 
 # ---------------------------------------------------------------------------

@@ -235,12 +235,12 @@ def test_stream_predictions_are_perfect(stream):
     for p in stream.predictions:
         assert p.avg_prob == 1.0
         assert list(p.fold_probs) == [1.0]
-    g = stream.genders
+    g = {p.user_id: p.voted_gender for p in stream.predictions}
     assert g["sf0000"] == "female" and g["sm0000"] == "male"
 
 
 def test_stream_authors_resolve(stream):
-    known = set(stream.genders)
+    known = {p.user_id for p in stream.predictions}
     assert set(stream.tweets.authors) <= known
     assert len(set(stream.tweets.authors)) == len(stream.tweets.authors)
     assert set(stream.tweets.author.tolist()) == set(range(len(stream.tweets.authors)))
@@ -284,7 +284,8 @@ def test_empirical_rates_within_three_sigma():
     spec = SynthSpec(users_per_class=100, seed=9, yearly_volumes={2015: 12000})
     out = gen_labeled_tweets(spec)
     t = out.tweets
-    gender = np.array([out.genders[u] for u in t.authors])[t.author]
+    genders = {p.user_id: p.voted_gender for p in out.predictions}
+    gender = np.array([genders[u] for u in t.authors])[t.author]
     member = {c: (t.hbm >> HBM_CONSTRUCTS.index(c) & 1).astype(bool) for c in CONSTRUCTS[:-1]}
     member["tpb_positive"] = t.tpb == TPB_ATTITUDES.index("positive")
     n = {g: int((gender == g).sum()) for g in ("male", "female")}

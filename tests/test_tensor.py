@@ -59,7 +59,7 @@ def conv1d_oracle(x, f, b, padding):
     out = np.zeros((m, c_out))
     for t in range(m):
         for o in range(c_out):
-            acc = 0.0 if b is None else b[o]
+            acc = b[o]
             for j in range(w):
                 src = t + j - offset
                 if 0 <= src < n:
@@ -80,7 +80,7 @@ def pool_oracle(x, valid_len):
 def test_conv_all_ones_valid():
     x = t64(np.ones((1, 3, 2)))
     f = t64(np.ones((3, 2, 1)))
-    out = conv1d(x, f, padding="valid")
+    out = conv1d(x, f, t64(np.zeros(1)), padding="valid")
     assert out.data.shape == (1, 1, 1)
     assert out.data[0, 0, 0] == pytest.approx(6.0)
 
@@ -90,7 +90,7 @@ def test_conv_identity_filter_same():
     x = t64(rng.standard_normal((1, 6, 3)))
     f = np.zeros((3, 3, 3))
     f[1] = np.eye(3)  # unit impulse at j = offset, identity channel map
-    out = conv1d(x, t64(f), padding="same")
+    out = conv1d(x, t64(f), t64(np.zeros(3)), padding="same")
     np.testing.assert_allclose(out.data, x.data, atol=1e-15)
 
 
@@ -123,12 +123,13 @@ def test_conv_batched_equals_per_row():
 
 def test_conv_valid_too_short():
     with pytest.raises(ShapeError, match="length 2"):
-        conv1d(t64(np.ones((1, 2, 1))), t64(np.ones((3, 1, 1))), padding="valid")
+        conv1d(t64(np.ones((1, 2, 1))), t64(np.ones((3, 1, 1))), t64(np.zeros(1)),
+               padding="valid")
 
 
 def test_kernels_reject_unbatched_input():
     with pytest.raises(ShapeError, match="input shape"):
-        conv1d(t64(np.ones((4, 2))), t64(np.ones((3, 2, 1))))
+        conv1d(t64(np.ones((4, 2))), t64(np.ones((3, 2, 1))), t64(np.zeros(1)))
     with pytest.raises(ShapeError, match="batch, time, channels"):
         max_over_time(t64(np.ones((4, 2))), 4)
 
@@ -143,8 +144,8 @@ def test_conv_gradients():
     def loss():
         return weighted_sum(conv1d(x, f, b, padding="same"), np.random.default_rng(9))
 
-    report = grad_check(loss, {"x": x, "f": f, "b": b}, rng=proj)
-    assert report.passed, report.summary()
+    errors = grad_check(loss, {"x": x, "f": f, "b": b}, rng=proj)
+    assert max(errors.values()) < 1e-4, errors
 
 
 def test_conv_batched_gradients():
@@ -156,8 +157,8 @@ def test_conv_batched_gradients():
     def loss():
         return weighted_sum(conv1d(x, f, b, padding="valid"), np.random.default_rng(11))
 
-    report = grad_check(loss, {"x": x, "f": f, "b": b}, rng=np.random.default_rng(6))
-    assert report.passed, report.summary()
+    errors = grad_check(loss, {"x": x, "f": f, "b": b}, rng=np.random.default_rng(6))
+    assert max(errors.values()) < 1e-4, errors
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +191,8 @@ def test_embedding_grad_matches_fd():
     def loss():
         return weighted_sum(embedding_lookup(table, ids), np.random.default_rng(13))
 
-    report = grad_check(loss, {"table": table}, rng=np.random.default_rng(8))
-    assert report.passed, report.summary()
+    errors = grad_check(loss, {"table": table}, rng=np.random.default_rng(8))
+    assert max(errors.values()) < 1e-4, errors
 
 
 def test_embedding_id_out_of_range():
@@ -246,8 +247,8 @@ def test_pool_gradients():
     def loss():
         return weighted_sum(max_over_time(x, lens), np.random.default_rng(17))
 
-    report = grad_check(loss, {"x": x}, rng=np.random.default_rng(12))
-    assert report.passed, report.summary()
+    errors = grad_check(loss, {"x": x}, rng=np.random.default_rng(12))
+    assert max(errors.values()) < 1e-4, errors
 
 
 _POOL_VALUES = (-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0)
@@ -344,7 +345,7 @@ def test_bn_normalizes_batch():
 def test_bn_updates_running_stats_with_momentum():
     gamma, beta, state = _bn_params(2)
     x = np.array([[1.0, 10.0], [3.0, 14.0]])
-    batch_norm(t64(x), gamma, beta, state, mode="train", momentum=0.9)
+    batch_norm(t64(x), gamma, beta, state, mode="train")
     np.testing.assert_allclose(state.mean, 0.1 * np.array([2.0, 12.0]))
     np.testing.assert_allclose(state.var, 0.9 * 1.0 + 0.1 * np.array([1.0, 4.0]))
 
@@ -377,24 +378,18 @@ def test_bn_gradients(mode):
         out = batch_norm(x, gamma, beta, state, mode=mode)
         return weighted_sum(out, np.random.default_rng(19))
 
-    report = grad_check(loss, {"x": x, "gamma": gamma, "beta": beta},
+    errors = grad_check(loss, {"x": x, "gamma": gamma, "beta": beta},
                         rng=np.random.default_rng(15))
-    assert report.passed, report.summary()
+    assert max(errors.values()) < 1e-4, errors
 
 
 # ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------
 
-def test_dropout_rate_zero_and_eval_are_identity():
-    x = t64(np.ones((3, 3)))
-    assert dropout(x, 0.0, mode="train", rng=np.random.default_rng(0)) is x
-    assert dropout(x, 0.2, mode="eval") is x
-
-
 def test_dropout_preserves_mean():
     x = t64(np.ones(100_000))
-    out = dropout(x, 0.2, mode="train", rng=np.random.default_rng(16))
+    out = dropout(x, 0.2, np.random.default_rng(16))
     # per-element variance of inverted dropout at rate r is r/(1-r) = 0.25
     sigma_mean = 0.5 / np.sqrt(100_000)
     assert abs(out.data.mean() - 1.0) < 3 * sigma_mean
@@ -405,20 +400,22 @@ def test_dropout_preserves_mean():
 def test_dropout_bad_rate():
     x = t64(np.ones(3))
     with pytest.raises(ValueError):
-        dropout(x, 1.0, mode="train", rng=np.random.default_rng(0))
+        dropout(x, 1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        dropout(x, -0.1, mode="train", rng=np.random.default_rng(0))
+        dropout(x, -0.1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="rng"):
+        dropout(x, 0.2, None)
 
 
 def test_dropout_gradients_with_fixed_mask():
     x = t64(np.random.default_rng(17).standard_normal((4, 5)))
 
     def loss():
-        out = dropout(x, 0.4, mode="train", rng=np.random.default_rng(23))
+        out = dropout(x, 0.4, np.random.default_rng(23))
         return weighted_sum(out, np.random.default_rng(29))
 
-    report = grad_check(loss, {"x": x}, rng=np.random.default_rng(18))
-    assert report.passed, report.summary()
+    errors = grad_check(loss, {"x": x}, rng=np.random.default_rng(18))
+    assert max(errors.values()) < 1e-4, errors
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +436,7 @@ def test_relu_values():
 
 def test_dense_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-        dense(t64(np.ones((2, 3))), t64(np.ones((4, 5))))
+        dense(t64(np.ones((2, 3))), t64(np.ones((4, 5))), t64(np.zeros(5)))
 
 
 def test_dense_relu_gradients():
@@ -451,8 +448,8 @@ def test_dense_relu_gradients():
     def loss():
         return weighted_sum(relu(dense(x, w, b)), np.random.default_rng(31))
 
-    report = grad_check(loss, {"x": x, "w": w, "b": b}, rng=np.random.default_rng(20))
-    assert report.passed, report.summary()
+    errors = grad_check(loss, {"x": x, "w": w, "b": b}, rng=np.random.default_rng(20))
+    assert max(errors.values()) < 1e-4, errors
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +501,8 @@ def test_softmax_gradient_matches_fd():
     def loss():
         return softmax_xent(logits, labels)[0]
 
-    report = grad_check(loss, {"logits": logits}, rng=np.random.default_rng(24))
-    assert report.passed, report.summary()
+    errors = grad_check(loss, {"logits": logits}, rng=np.random.default_rng(24))
+    assert max(errors.values()) < 1e-4, errors
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +523,8 @@ def test_l2_gradient_is_2_lambda_w():
     def loss():
         return l2_penalty([w], 0.5)
 
-    report = grad_check(loss, {"w": w}, rng=np.random.default_rng(25))
-    assert report.passed, report.summary()
+    errors = grad_check(loss, {"w": w}, rng=np.random.default_rng(25))
+    assert max(errors.values()) < 1e-4, errors
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +589,9 @@ def test_adam_converges_on_quadratic():
 
 def test_grad_check_quadratic():
     w = t64([3.0])
-    report = grad_check(lambda: l2_penalty([w], 1.0), {"w": w},
+    errors = grad_check(lambda: l2_penalty([w], 1.0), {"w": w},
                         rng=np.random.default_rng(27))
-    assert report.passed
-    assert report.max_rel_err < 1e-10
+    assert max(errors.values()) < 1e-10, errors
 
 
 def test_grad_check_flags_corrupted_gradient():
@@ -609,19 +605,25 @@ def test_grad_check_flags_corrupted_gradient():
 
         return _node(np.asarray((x.data ** 2).sum()), (x,), backward)
 
-    report = grad_check(lambda: bad_square(w), {"w": w}, rng=np.random.default_rng(28))
-    assert not report.passed
-    assert "FAIL" in report.summary()
+    errors = grad_check(lambda: bad_square(w), {"w": w}, rng=np.random.default_rng(28))
+    assert errors["w"] > 1e-4, errors
 
 
 def test_grad_check_retries_a_step_across_a_kink():
     # at step 1e-5 the difference straddles relu's kink (slope 0.75, not 1);
     # the retry at 1e-6 stays on one side
     x = t64([5e-6, 1.0, 2.0])
-    report = grad_check(lambda: tsum(relu(x)), {"x": x}, samples_per_tensor=0,
-                        h=1e-5, rng=np.random.default_rng(31))
-    assert report.results[0].checked == 3
-    assert report.passed, report.summary()
+    calls = []
+
+    def loss():
+        calls.append(1)
+        return tsum(relu(x))
+
+    errors = grad_check(loss, {"x": x}, samples_per_tensor=0, h=1e-5,
+                        rng=np.random.default_rng(31))
+    # one analytic pass, then both sides of 3 steps at each of the 3 coordinates
+    assert len(calls) == 1 + 3 * 3 * 2
+    assert max(errors.values()) < 1e-4, errors
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +640,8 @@ def test_concat_reshape_add_gradients():
         flat = reshape(joined, (16,))
         return add(tsum(flat), tsum(mul_const(a, 2.0)))
 
-    report = grad_check(loss, {"a": a, "b": b}, rng=np.random.default_rng(30))
-    assert report.passed, report.summary()
+    errors = grad_check(loss, {"a": a, "b": b}, rng=np.random.default_rng(30))
+    assert max(errors.values()) < 1e-4, errors
 
 
 def test_backward_requires_scalar():
@@ -658,7 +660,8 @@ def test_shared_node_accumulates_both_paths():
 def test_float32_training_path_keeps_dtype():
     x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     w = Tensor(np.eye(2, dtype=np.float32), requires_grad=True)
-    out = dense(x, w)
+    b = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    out = dense(x, w, b)
     assert out.data.dtype == np.float32
     tsum(out).backward()
     assert x.grad.dtype == np.float32

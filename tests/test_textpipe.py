@@ -11,6 +11,7 @@ from genderfuse.errors import TextPipeError
 from genderfuse.textpipe import (
     LEXICON,
     MAX_DOC_TOKENS,
+    MAX_TOKEN_CHARS,
     MARKER_TAG,
     PAD_ID,
     TAGSET,
@@ -188,9 +189,9 @@ def test_vocab_json_roundtrip_preserves_fingerprint():
 
 def test_char_ids_truncation_and_unk():
     v = Vocab({"<pad>": 0, "<unk>": 1})
-    ids = v.char_ids("a" * 50, max_chars=20)
-    assert len(ids) == 20
-    assert v.char_ids("é", max_chars=20) == [UNK_ID]  # non-ASCII char
+    ids = v.char_ids("a" * 50)
+    assert len(ids) == MAX_TOKEN_CHARS == 20
+    assert v.char_ids("é") == [UNK_ID]  # non-ASCII char
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from genderfuse.corpus import GENDERS, GenderPrediction, UserRecord, gender_index, split_folds
 from genderfuse.errors import CheckpointError, ShapeError, TrainingError
-from genderfuse.model import ArchConfig, init_params, load_params, save_params
+from genderfuse.model import ArchConfig, init_params, save_params
 from genderfuse.textpipe import build_doc, build_vocab
 from genderfuse.train import (AlgoSummary, EnsembleReport, FoldResult, _run_fold,
                               coverage, coverage_summary, evaluate, predict_ensemble,
@@ -349,17 +349,6 @@ def test_identical_members_equal_single_model(tmp_path):
         assert pred.fold_probs[0] == pytest.approx(solo[i].max(), abs=1e-7)
 
 
-def test_ensemble_accepts_loaded_params(cv_run):
-    corpus, results, _ = cv_run
-    vocab = build_vocab(corpus, min_word_freq=1)
-    docs = [build_doc(u, vocab) for u in corpus]
-    models = [load_params(fr.checkpoint) for fr in results]
-    a = predict_ensemble(models, docs)
-    b = predict_ensemble([fr.checkpoint for fr in results], docs)
-    assert [(p.user_id, p.voted_gender, p.fold_probs) for p in a] \
-        == [(p.user_id, p.voted_gender, p.fold_probs) for p in b]
-
-
 def test_ensemble_rejects_foreign_vocab(cv_run, tmp_path):
     corpus, results, _ = cv_run
     other_corpus = [UserRecord(f"x{i}", GENDERS[i % 2], ["completely other tokens"])
@@ -408,14 +397,18 @@ def _pred(uid, gender, probs):
     return GenderPrediction.from_fold_probs(uid, gender, probs)
 
 
+def _users(**genders):
+    return [UserRecord(uid, g, ["hi"]) for uid, g in genders.items()]
+
+
 def test_evaluate_all_correct():
     preds = [_pred("a", "female", [0.9]), _pred("b", "male", [0.8])]
-    assert evaluate(preds, {"a": "female", "b": "male"}) == 1.0
+    assert evaluate(preds, _users(a="female", b="male")) == 1.0
 
 
 def test_evaluate_half_correct():
     preds = [_pred("a", "female", [0.9]), _pred("b", "male", [0.8])]
-    assert evaluate(preds, {"a": "female", "b": "female"}) == 0.5
+    assert evaluate(preds, _users(a="female", b="female")) == 0.5
 
 
 def test_evaluate_accepts_user_records():
@@ -427,12 +420,12 @@ def test_evaluate_accepts_user_records():
 def test_evaluate_missing_truth_names_user():
     preds = [_pred("nobody", "female", [0.9])]
     with pytest.raises(TrainingError, match="nobody"):
-        evaluate(preds, {})
+        evaluate(preds, [])
 
 
 def test_evaluate_empty_preds():
     with pytest.raises(TrainingError, match="empty"):
-        evaluate([], {})
+        evaluate([], [])
 
 
 def test_coverage_strict_threshold():
