@@ -12,7 +12,7 @@ from pathlib import Path
 
 from genderfuse.model import ArchConfig
 from genderfuse.synth import SynthSpec, gen_gender_corpus
-from genderfuse.train import EnsembleReport, evaluate, predict_ensemble, train_cv
+from genderfuse.train import EnsembleReport, train_cv
 
 corpus = gen_gender_corpus(SynthSpec(users_per_class=80, tweets_per_user=15,
                                      marker_rate=0.3, signal="char", seed=0))
@@ -32,12 +32,11 @@ with tempfile.TemporaryDirectory() as tmp:
         t0 = time.time()
         run = train_cv(corpus, arch, k=5, epochs=8, seed=0,
                        workdir=workdir, test_corpus=held_out)
-        folds = run.folds
-        preds = predict_ensemble([fr.checkpoint for fr in folds], run.test_docs)
-        voting = evaluate(preds, held_out)
-        report.add(column, [fr.test_accuracy for fr in folds], voting)
-        accs = " ".join(f"{fr.test_accuracy:.2f}" for fr in folds)
-        print(f"{variant:<13} folds [{accs}]  voting {voting:.3f}  "
+        # fold accuracies and the vote are both scored on the held-out users
+        summary = run.summary
+        report.add(column, summary.folds, summary.voting)
+        accs = " ".join(f"{a:.2f}" for a in summary.folds)
+        print(f"{variant:<13} folds [{accs}]  voting {summary.voting:.3f}  "
               f"({time.time() - t0:.0f}s)")
 
 print()

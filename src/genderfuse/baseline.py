@@ -18,10 +18,10 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .corpus import GENDERS, GenderPrediction, gender_index, split_folds
+from .corpus import GenderPrediction, gender_labels, split_folds
 from .errors import BaselineError
 from .textpipe import tokenize_tweets
-from .train import AlgoSummary, _accuracy, vote_probs
+from .train import AlgoSummary, _accuracy, voted_predictions
 
 _ALGO_LOSS = {"LR": "logistic", "SVM": "hinge"}
 
@@ -268,16 +268,13 @@ def baseline_cv(corpus, algo: str = "LR", *, k: int = 5, seed: int = 0,
             f"unknown algorithm {algo!r} (expected one of {sorted(_ALGO_LOSS)})")
     loss = _ALGO_LOSS[algo]
     folds = split_folds(corpus, k, seed)
-    labels = np.array([gender_index(u.gender) for u in corpus])
+    labels = gender_labels(corpus)
     n = len(corpus)
     authors, eval_rows, eval_labels = list(corpus), np.arange(n), labels
     if test_corpus is not None:
-        for u in test_corpus:
-            if u.gender is None:
-                raise BaselineError(f"test user {u.user_id!r} has no gender label")
+        eval_labels = gender_labels(test_corpus)
         authors += test_corpus
         eval_rows = np.arange(n, len(authors))
-        eval_labels = np.array([gender_index(u.gender) for u in test_corpus])
     # test authors are counted too, but a fold's kept columns come from its
     # training rows alone
     counts = count_ngrams([user_tokens(u) for u in authors], tfidf_config)
@@ -294,16 +291,11 @@ def baseline_cv(corpus, algo: str = "LR", *, k: int = 5, seed: int = 0,
         lin = fit_linear(transform_docs(tfidf, train), labels[tr], loss, lam,
                          epochs=epochs, lr=lr, seed=int(fold_seed))
         probs = lin.predict_probs(transform_docs(tfidf, eval_counts))
-        if test_corpus is not None:
-            fold_accs.append(_accuracy(probs, eval_labels))
-        else:
-            val_probs = lin.predict_probs(transform_docs(tfidf, counts.rows(val_idx)))
-            fold_accs.append(_accuracy(val_probs, labels[val_idx]))
+        # in sample, a fold is scored on its own validation rows of probs
+        scored = slice(None) if test_corpus is not None else val_idx
+        fold_accs.append(_accuracy(probs[scored], eval_labels[scored]))
         all_probs.append(probs)
 
-    voted, fold_probs = vote_probs(np.stack(all_probs))
-    preds = [GenderPrediction.from_fold_probs(uid, GENDERS[voted[i]],
-                                              fold_probs[:, i])
-             for i, uid in enumerate(eval_ids)]
+    voted, preds = voted_predictions(eval_ids, np.stack(all_probs))
     summary = AlgoSummary(tuple(fold_accs), float(np.mean(voted == eval_labels)))
     return summary, preds

@@ -104,6 +104,12 @@ class _Key:
     parse: object
     default: object
     help: str
+    # (test, wording) of the allowed range, for keys that no config object
+    # (ArchConfig, TfidfConfig, AnalysisConfig) checks before a run starts
+    bound: tuple | None = None
+
+
+_AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
 
 
 CONFIG_SPEC = {
@@ -126,18 +132,21 @@ CONFIG_SPEC = {
     "batch_size": _Key(int, 64, "training batch size"),
     "freeze_word_emb": _Key(_parse_bool, False, "do not update word embeddings"),
     "folds": _Key(int, 5, "cross-validation fold count"),
-    "epochs": _Key(int, 20, "training epochs per fold"),
+    "epochs": _Key(int, 20, "training epochs per fold", _AT_LEAST_ONE),
     "min_word_freq": _Key(int, 2, "corpus frequency below which words map to <unk>"),
-    "jobs": _Key(int, 1, "process count; parallelism is across folds only"),
-    "coverage_threshold": _Key(float, 0.80,
-                               "confidence bar for the coverage summary"),
+    "jobs": _Key(int, 1, "process count; parallelism is across folds only",
+                 _AT_LEAST_ONE),
+    "coverage_threshold": _Key(float, 0.80, "confidence bar for the coverage summary",
+                               (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
     "baseline_ngram_lo": _Key(int, 1, "smallest TF-IDF n-gram order"),
     "baseline_ngram_hi": _Key(int, 2, "largest TF-IDF n-gram order"),
     "baseline_min_df": _Key(int, 2, "minimum document frequency for TF-IDF terms"),
     "baseline_sublinear": _Key(_parse_bool, True, "log-scale TF-IDF term counts"),
-    "baseline_l2": _Key(float, 1e-4, "ridge strength for the linear models"),
-    "baseline_epochs": _Key(int, 10, "SGD epochs for the linear models"),
-    "baseline_lr": _Key(float, 0.1, "SGD learning rate for the linear models"),
+    "baseline_l2": _Key(float, 1e-4, "ridge strength for the linear models",
+                        (lambda v: v >= 0, "at least 0")),
+    "baseline_epochs": _Key(int, 10, "SGD epochs for the linear models", _AT_LEAST_ONE),
+    "baseline_lr": _Key(float, 0.1, "SGD learning rate for the linear models",
+                        (lambda v: v > 0, "positive")),
     "alpha": _Key(float, 0.05, "family-wise significance level"),
     "comparisons": _Key(int, 25, "Bonferroni comparison count"),
     "haldane": _Key(_parse_bool, True,
@@ -168,8 +177,9 @@ def parse_config_text(text: str, where: str) -> dict:
     return out
 
 
-def resolve_config(config_flag, overrides) -> dict:
-    """Defaults, then the config file, then ``--set`` pairs."""
+def resolve_config(config_flag, overrides, flags=None) -> dict:
+    """Defaults, then the config file, then ``--set`` pairs, then the
+    dedicated flags in ``flags`` that were given; then every range check."""
     cfg = {k: spec.default for k, spec in CONFIG_SPEC.items()}
     path = config_flag or os.environ.get("GENDERFUSE_CONFIG")
     if path:
@@ -191,6 +201,10 @@ def resolve_config(config_flag, overrides) -> dict:
             cfg[key] = CONFIG_SPEC[key].parse(value.strip())
         except ValueError as exc:
             raise UsageError(f"--set {key}: {exc}") from exc
+    cfg.update((key, v) for key, v in (flags or {}).items() if v is not None)
+    for key, spec in CONFIG_SPEC.items():
+        if spec.bound is not None and not spec.bound[0](cfg[key]):
+            raise ConfigError(f"{key} must be {spec.bound[1]}, got {cfg[key]!r}")
     return cfg
 
 
@@ -250,18 +264,16 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _apply_flag_overrides(cfg: dict, args) -> None:
-    for key, value in (("variant", getattr(args, "arch", None)),
-                       ("folds", getattr(args, "folds", None)),
-                       ("epochs", getattr(args, "epochs", None)),
-                       ("jobs", getattr(args, "jobs", None))):
-        if value is not None:
-            cfg[key] = value
+def _config(args) -> dict:
+    """resolve_config for a subcommand, with its dedicated flags."""
+    return resolve_config(args.config, args.set, {
+        key: getattr(args, attr, None)
+        for key, attr in (("variant", "arch"), ("folds", "folds"),
+                          ("epochs", "epochs"), ("jobs", "jobs"))})
 
 
 def _cmd_train(args) -> int:
-    cfg = resolve_config(args.config, args.set)
-    _apply_flag_overrides(cfg, args)
+    cfg = _config(args)
     arch = arch_from_config(cfg)
     corpus = read_users_jsonl(args.users)
     test = read_users_jsonl(args.test_users) if args.test_users else None
@@ -283,18 +295,11 @@ def _cmd_train(args) -> int:
     if failed:
         return 2
 
-    # vote on the held-out corpus when there is one, else in sample
-    eval_corpus, docs = (test, run.test_docs) if test is not None else (corpus, run.docs)
-    preds = predict_ensemble([fr.checkpoint for fr in run.folds], docs)
-    voting = voting_accuracy(preds, eval_corpus)
-    fold_accs = [fr.test_accuracy if fr.test_accuracy is not None
-                 else max(fr.val_trace) for fr in run.folds]
-
     report = EnsembleReport()
-    report.add(VARIANT_COLUMN[arch.variant], fold_accs, voting)
+    report.add(VARIANT_COLUMN[arch.variant], run.summary.folds, run.summary.voting)
     print(report.table())
     thr = cfg["coverage_threshold"]
-    print(f"coverage at {thr:g}: {coverage_summary(preds, thr)}")
+    print(f"coverage at {thr:g}: {coverage_summary(run.preds, thr)}")
 
     out_path = args.report or workdir / "report.json"
     write_json(out_path, {
@@ -303,11 +308,11 @@ def _cmd_train(args) -> int:
         "folds": cfg["folds"],
         "epochs": cfg["epochs"],
         "held_out": test is not None,
-        "fold_accuracies": [float(a) for a in fold_accs],
-        "mean": float(np.mean(fold_accs)),
-        "sd": float(np.std(fold_accs)),
-        "voting_accuracy": float(voting),
-        "coverage": float(coverage(preds, thr)),
+        "fold_accuracies": list(run.summary.folds),
+        "mean": run.summary.mean,
+        "sd": run.summary.sd,
+        "voting_accuracy": run.summary.voting,
+        "coverage": float(coverage(run.preds, thr)),
         # checkpoint names are workdir-relative so reruns compare bytewise
         "fold_results": [{**fr.to_json(),
                           "checkpoint": Path(fr.checkpoint).name}
@@ -341,7 +346,7 @@ def _other_gender(g: str) -> str:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = resolve_config(args.config, args.set)
+    cfg = _config(args)
     preds = read_predictions_jsonl(args.preds)
     truth = read_users_jsonl(args.truth)
     voting = voting_accuracy(preds, truth)
@@ -372,8 +377,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    cfg = resolve_config(args.config, args.set)
-    _apply_flag_overrides(cfg, args)
+    cfg = _config(args)
     corpus = read_users_jsonl(args.users)
     test = read_users_jsonl(args.test_users) if args.test_users else None
     summary, preds = baseline_cv(corpus, args.algo, k=cfg["folds"],
@@ -394,7 +398,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    cfg = resolve_config(args.config, args.set)
+    cfg = _config(args)
     config = stats_config(cfg)
     tweets = read_labeled_tweets_jsonl(args.tweets)
     preds = read_predictions_jsonl(args.preds)
@@ -655,6 +659,13 @@ def _add_config_flags(sp) -> None:
                     help="override one configuration key; repeatable")
 
 
+def _positive_int(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _parse_volumes(s: str) -> dict:
     out = {}
     for part in s.split(","):
@@ -727,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--users", required=True, metavar="FILE")
     sp.add_argument("--out", required=True, metavar="FILE",
                     help="predictions JSONL destination")
-    sp.add_argument("--batch-size", type=int, metavar="N")
+    sp.add_argument("--batch-size", type=_positive_int, metavar="N")
 
     sp = command("evaluate", _cmd_evaluate,
                  "score predictions against labeled users", config=True)

@@ -37,6 +37,14 @@ def gender_index(gender: str) -> int:
     return GENDERS.index(gender)
 
 
+def gender_labels(users) -> np.ndarray:
+    """int64 gender indices of ``users``; every user must carry a label."""
+    for u in users:
+        if u.gender is None:
+            raise CorpusError(f"user {u.user_id!r} has no gender label")
+    return np.array([gender_index(u.gender) for u in users], dtype=np.int64)
+
+
 def _parse_gender(token, *, where: str):
     """Case-insensitive gender parsing; anything but female/male is an error."""
     if token is None:
@@ -326,17 +334,15 @@ def split_folds(corpus, k: int, seed: int) -> list[list[int]]:
         raise CorpusError(f"fold count must be >= 2, got {k}")
     if len(corpus) < k:
         raise CorpusError(f"corpus of {len(corpus)} users cannot be split into {k} folds")
-    for u in corpus:
-        if u.gender is None:
-            raise CorpusError(f"cannot split: user {u.user_id!r} has no gender label")
+    labels = gender_labels(corpus)
 
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     cursor = 0
     # Dealing each gender round-robin, continuing the cursor across genders,
     # keeps both the per-gender and the overall fold sizes within 1.
-    for gender in GENDERS:
-        idx = np.array([i for i, u in enumerate(corpus) if u.gender == gender], dtype=np.int64)
+    for g in range(len(GENDERS)):
+        idx = np.flatnonzero(labels == g)
         rng.shuffle(idx)
         for i in idx:
             folds[cursor % k].append(int(i))

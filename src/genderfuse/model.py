@@ -337,7 +337,7 @@ def train_step(params: ModelParams, batch: Batch, opt: Adam,
 
 def predict_probs(params: ModelParams, docs, batch_size: int | None = None) -> np.ndarray:
     """Eval-mode class probabilities for a list of docs, chunked into batches."""
-    bs = batch_size or params.arch.batch_size
+    bs = params.arch.batch_size if batch_size is None else batch_size
     out = []
     for lo in range(0, len(docs), bs):
         batch = make_batch(docs[lo:lo + bs])

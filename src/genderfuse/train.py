@@ -17,12 +17,12 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import GENDERS, GenderPrediction, gender_index, split_folds
+from .corpus import GENDERS, GenderPrediction, gender_labels, split_folds
 from .errors import CheckpointError, ShapeError, TrainingError
 from .ioutil import read_json, write_json
 from .model import (ArchConfig, init_params, load_params, make_batch,
@@ -145,11 +145,11 @@ class EnsembleReport:
 
 @dataclass
 class CVRun:
-    """The fold results of :func:`train_cv` and the docs it built, for reuse."""
+    """What :func:`train_cv` returns; the ensemble fields are None if a fold failed."""
 
     folds: list[FoldResult]
-    docs: list                 # TokenizedDoc per corpus author, corpus order
-    test_docs: list | None     # the same for the test corpus, when given
+    summary: AlgoSummary | None
+    preds: list[GenderPrediction] | None   # voted, one per evaluation user
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +162,7 @@ def _accuracy(probs: np.ndarray, labels) -> float:
 
 def _run_fold(fold: int, train_docs, train_labels, val_docs, val_labels,
               vocab: Vocab, arch: ArchConfig, epochs: int, seed: int,
-              ckpt_path: str, pretrained=None, test_docs=None,
-              test_labels=None) -> FoldResult:
+              ckpt_path: str, pretrained=None) -> FoldResult:
     """Train one fold to the full epoch budget, keeping the best checkpoint.
 
     Deterministic given (seed, fold); independent of which other folds run.
@@ -195,14 +194,8 @@ def _run_fold(fold: int, train_docs, train_labels, val_docs, val_labels,
     except TrainingError as exc:
         error = str(exc)
         log.warning("fold %d aborted: %s", fold, error)
-
-    test_acc = None
-    if error is None and test_docs is not None:
-        bestp = load_params(ckpt_path, expect_fingerprint=vocab.fingerprint())
-        test_acc = _accuracy(predict_probs(bestp, test_docs), test_labels)
     return FoldResult(fold=fold, checkpoint=None if error else str(ckpt_path),
-                      val_trace=trace, best_epoch=best_epoch,
-                      test_accuracy=test_acc, error=error)
+                      val_trace=trace, best_epoch=best_epoch, error=error)
 
 
 def _users_digest(users) -> str:
@@ -232,11 +225,15 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
     checkpoint are not retrained, and metadata recorded under any other
     settings or inputs is refused.  A fold that fails to
     produce a finite loss is reported with its partial trace and the error
-    message instead of aborting the whole run.
+    message instead of aborting the whole run.  Each finished fold's best
+    checkpoint then scores the evaluation users once (the test corpus, else
+    the training corpus in sample) for its test accuracy and the vote.
     """
+    folds = split_folds(corpus, k, seed)
+    labels = gender_labels(corpus)
+    eval_labels = labels if test_corpus is None else gender_labels(test_corpus)
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    folds = split_folds(corpus, k, seed)
 
     vocab = build_vocab(corpus, min_word_freq=min_word_freq)
     vocab_path = workdir / "vocab.json"
@@ -250,14 +247,7 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
         write_json(vocab_path, vocab.to_json())
 
     docs = [build_doc(u, vocab) for u in corpus]
-    labels = [gender_index(u.gender) for u in corpus]
-    test_docs = test_labels = None
-    if test_corpus is not None:
-        for u in test_corpus:
-            if u.gender is None:
-                raise TrainingError(f"test user {u.user_id!r} has no gender label")
-        test_docs = [build_doc(u, vocab) for u in test_corpus]
-        test_labels = [gender_index(u.gender) for u in test_corpus]
+    eval_docs = docs if test_corpus is None else [build_doc(u, vocab) for u in test_corpus]
 
     manifest = {
         "seed": seed, "epochs": epochs, "k": k, "arch": arch.to_json(),
@@ -277,9 +267,11 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
                 raise TrainingError(
                     f"{meta_path}: recorded run differs in {', '.join(changed)}; "
                     "use a fresh work directory")
-            if fr.checkpoint and Path(fr.checkpoint).exists():
-                log.info("fold %d: reusing checkpoint %s", i, fr.checkpoint)
-                results[i] = fr
+            # the recorded path is as the workdir was spelled then
+            ckpt = workdir / f"fold{i}.gfus"
+            if fr.checkpoint and ckpt.exists():
+                log.info("fold %d: reusing checkpoint %s", i, ckpt)
+                results[i] = replace(fr, checkpoint=str(ckpt))
                 continue
         pending.append(i)
 
@@ -288,10 +280,10 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
     for i in pending:
         tr = sorted(set(range(n)) - set(folds[i]))
         jobs_args.append((
-            i, [docs[j] for j in tr], [labels[j] for j in tr],
-            [docs[j] for j in folds[i]], [labels[j] for j in folds[i]],
+            i, [docs[j] for j in tr], labels[tr],
+            [docs[j] for j in folds[i]], labels[folds[i]],
             vocab, arch, epochs, seed, str(workdir / f"fold{i}.gfus"),
-            pretrained, test_docs, test_labels))
+            pretrained))
 
     if jobs > 1 and len(jobs_args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -302,10 +294,22 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
             fr = _run_fold(*args)
             results[fr.fold] = fr
 
-    for i, fr in results.items():
-        if i in pending and fr.error is None:
-            write_json(workdir / f"fold{i}.json", {**fr.to_json(), **manifest})
-    return CVRun(folds=[results[i] for i in range(k)], docs=docs, test_docs=test_docs)
+    finished = [i for i in range(k) if results[i].error is None]
+    all_probs = []
+    for i in finished:
+        params = load_params(workdir / f"fold{i}.gfus", expect_fingerprint=vocab.fingerprint())
+        all_probs.append(predict_probs(params, eval_docs))
+        if test_corpus is not None:
+            results[i] = replace(results[i], test_accuracy=_accuracy(all_probs[-1], eval_labels))
+        if i in pending:
+            write_json(workdir / f"fold{i}.json", {**results[i].to_json(), **manifest})
+    frs = [results[i] for i in range(k)]
+    if len(finished) < k:
+        return CVRun(frs, None, None)
+    fold_accs = tuple(fr.test_accuracy if test_corpus is not None else max(fr.val_trace)
+                      for fr in frs)
+    voted, preds = voted_predictions([d.user_id for d in eval_docs], np.stack(all_probs))
+    return CVRun(frs, AlgoSummary(fold_accs, float(np.mean(voted == eval_labels))), preds)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +337,13 @@ def vote_probs(all_probs) -> tuple[np.ndarray, np.ndarray]:
     return voted, fold_probs
 
 
+def voted_predictions(user_ids, all_probs) -> tuple[np.ndarray, list[GenderPrediction]]:
+    """Voted labels and one prediction per user from (k, n, 2) fold probabilities."""
+    voted, fold_probs = vote_probs(all_probs)
+    return voted, [GenderPrediction.from_fold_probs(uid, GENDERS[voted[i]], fold_probs[:, i])
+                   for i, uid in enumerate(user_ids)]
+
+
 def predict_ensemble(checkpoints, docs,
                      batch_size: int | None = None) -> list[GenderPrediction]:
     """Voted predictions from k checkpoint files over tokenized documents.
@@ -352,10 +363,7 @@ def predict_ensemble(checkpoints, docs,
         if m.arch != models[0].arch:
             raise CheckpointError("ensemble members disagree on architecture")
     all_probs = np.stack([predict_probs(m, docs, batch_size) for m in models])
-    voted, fold_probs = vote_probs(all_probs)
-    return [GenderPrediction.from_fold_probs(doc.user_id, GENDERS[voted[i]],
-                                             fold_probs[:, i])
-            for i, doc in enumerate(docs)]
+    return voted_predictions([d.user_id for d in docs], all_probs)[1]
 
 
 def evaluate(preds, users) -> float:

@@ -13,7 +13,7 @@ from genderfuse.baseline import (LinearModel, TfidfConfig, TfidfModel, baseline_
                                  count_ngrams, fit_linear, fit_tfidf, transform_docs,
                                  user_tokens)
 from genderfuse.corpus import GENDERS, UserRecord, split_folds
-from genderfuse.errors import BaselineError
+from genderfuse.errors import BaselineError, CorpusError
 
 UNIGRAMS = TfidfConfig(ngram_lo=1, ngram_hi=1, min_df=1, sublinear=False)
 
@@ -380,7 +380,7 @@ def test_cv_with_test_corpus():
 
 
 def test_cv_rejects_unlabeled_test_user():
-    with pytest.raises(BaselineError, match="ghost"):
+    with pytest.raises(CorpusError, match="ghost"):
         baseline_cv(make_corpus(4), "LR", k=2, seed=0,
                     test_corpus=[UserRecord("ghost", None, ["hi there"])])
 

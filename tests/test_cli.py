@@ -422,6 +422,103 @@ def test_empty_users_file_is_refused_on_read(tmp_path, users_file, trained, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
 
 
+# (what the message names, exit code, the command's arguments after the
+# subcommand name; USERS is the labeled users file, GHOST an unlabeled one)
+BAD_SETTINGS = [
+    ("epochs", 2, ["train", "--epochs", "0", "--test-users", "USERS"]),
+    ("jobs", 2, ["train", "--jobs", "0"]),
+    ("jobs", 2, ["train", "--jobs", "-3"]),
+    ("coverage_threshold", 2, ["train", "--set", "coverage_threshold=1.5"]),
+    ("baseline_epochs", 2, ["baseline", "--set", "baseline_epochs=0"]),
+    ("baseline_lr", 2, ["baseline", "--set", "baseline_lr=-1"]),
+    ("baseline_l2", 2, ["baseline", "--set", "baseline_l2=-5"]),
+    ("'ghost'", 2, ["train", "--test-users", "GHOST"]),
+    ("'ghost'", 2, ["baseline", "--test-users", "GHOST"]),
+    ("--batch-size", 1, ["predict", "--batch-size", "0"]),
+    ("--batch-size", 1, ["predict", "--batch-size", "-1"]),
+]
+
+
+@pytest.mark.parametrize("names, code, argv", BAD_SETTINGS,
+                         ids=[" ".join(c[2]) for c in BAD_SETTINGS])
+def test_out_of_range_setting_is_refused_before_any_write(tmp_path, users_file, trained,
+                                                          capsys, names, code, argv):
+    ghost = tmp_path / "ghost.jsonl"
+    write_users_jsonl([UserRecord("ghost", None, ["some words"])], ghost)
+    files = {"USERS": str(users_file), "GHOST": str(ghost)}
+    command, *rest = [files.get(a, a) for a in argv]
+    work, out = tmp_path / "w", tmp_path / "out.jsonl"
+    common = {
+        "train": ["--users", str(users_file), "--workdir", str(work), "--seed", "1",
+                  "--folds", "2", *TINY],
+        "baseline": ["--users", str(users_file), "--seed", "1", "--folds", "2",
+                     "--out", str(out), "--report", str(tmp_path / "r.json")],
+        "predict": ["--workdir", str(trained), "--users", str(users_file),
+                    "--out", str(out)],
+    }[command]
+    before = {p.name: p.read_bytes() for p in trained.iterdir()}
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, *common, *rest]) == code
+    err = capsys.readouterr().err
+    assert names in err and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ghost.jsonl"]
+    assert {p.name: p.read_bytes() for p in trained.iterdir()} == before
+
+
+def test_resume_from_another_directory_reuses_every_fold(tmp_path, users_file,
+                                                         monkeypatch):
+    # fold<i>.json records the checkpoint as --workdir was spelled at the time
+    monkeypatch.chdir(tmp_path)
+    assert main(train_args(users_file, "wr") + ["--test-users", str(users_file)]) == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "wr").iterdir()}
+
+    def boom(*args, **kw):
+        raise AssertionError("fold retrained despite resume metadata")
+
+    monkeypatch.setattr("genderfuse.train._run_fold", boom)
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert main(train_args(users_file, "../wr") +
+                ["--test-users", str(users_file), "--resume"]) == 0
+    assert {p.name: p.read_bytes() for p in (tmp_path / "wr").iterdir()} == before
+
+
+@pytest.mark.parametrize("held_out", [False, True])
+def test_train_scores_each_fold_model_once(tmp_path, users_file, monkeypatch, held_out):
+    import genderfuse.train as train_mod
+    loads, passes = [], []
+    real_load, real_predict = train_mod.load_params, train_mod.predict_probs
+
+    def counting_load(*args, **kw):
+        loads.append(args[0])
+        return real_load(*args, **kw)
+
+    def counting_predict(params, docs, *args, **kw):
+        passes.append(len(docs))
+        return real_predict(params, docs, *args, **kw)
+
+    monkeypatch.setattr("genderfuse.train.load_params", counting_load)
+    monkeypatch.setattr("genderfuse.train.predict_probs", counting_predict)
+    extra = ["--test-users", str(users_file)] if held_out else []
+    assert main(train_args(users_file, tmp_path) + extra) == 0
+    # 3 folds of 2 epochs over 24 authors: 8 validation authors per epoch,
+    # then one pass of each best model over the 24 evaluation authors
+    assert len(loads) == 3
+    assert sorted(passes) == [8] * 6 + [24] * 3
+
+
+def test_train_jobs_two_writes_the_bytes_of_jobs_one(tmp_path, users_file):
+    work = tmp_path / "w"
+    argv = train_args(users_file, work) + ["--test-users", str(users_file)]
+    assert main(argv + ["--jobs", "1"]) == 0
+    serial = {p.name: p.read_bytes() for p in work.iterdir()}
+    shutil.rmtree(work)
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == serial
+
+
 USER_OK = '{"user_id": "a", "gender": "female", "tweets": ["hi there"]}'
 TWEET_OK = '{"tweet_id": "t1", "user_id": "a", "year": 2015, "hbm": [], "tpb": null}'
 PRED_OK = '{"user_id": "a", "gender": "male", "fold_probs": [0.9], "avg_prob": 0.9}'

@@ -60,7 +60,7 @@ def test_traced_baseline_counts_fits_and_transforms(monkeypatch):
                 for g, w in words.items() for i in range(n)]
 
     k = 3
-    for test, transforms in ((users(2, "t"), 2 * k), (None, 3 * k)):
+    for test, transforms in ((users(2, "t"), 2 * k), (None, 2 * k)):
         tr = tracing.Tracer()
         restore, _ = tracing.install(tr)
         try:

@@ -1,6 +1,7 @@
 """Cross-validation protocol, voting, and report rendering."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from genderfuse.corpus import GENDERS, GenderPrediction, UserRecord, gender_index, split_folds
-from genderfuse.errors import CheckpointError, ShapeError, TrainingError
+from genderfuse.errors import CheckpointError, CorpusError, ShapeError, TrainingError
 from genderfuse.model import ArchConfig, init_params, save_params
 from genderfuse.textpipe import build_doc, build_vocab
 from genderfuse.train import (AlgoSummary, EnsembleReport, FoldResult, _run_fold,
@@ -282,6 +283,36 @@ def test_train_cv_captures_fold_failures(tmp_path, monkeypatch):
     assert not list(tmp_path.glob("fold*.json"))
 
 
+def test_train_cv_scores_finished_folds_when_one_fails(tmp_path, monkeypatch):
+    corpus, work = make_corpus(3), tmp_path / "w"
+
+    def run():
+        return train_cv(corpus, tiny_arch(), k=3, epochs=1, seed=5, workdir=work,
+                        min_word_freq=1, test_corpus=corpus)
+
+    whole = run()
+    assert whole.summary.folds == tuple(fr.test_accuracy for fr in whole.folds)
+    written = {p.name: p.read_bytes() for p in work.glob("fold*.json")}
+    shutil.rmtree(work)
+    import genderfuse.train as train_mod
+    real = train_mod._run_fold
+
+    def fail_fold_1(fold, *args):
+        if fold == 1:
+            return FoldResult(fold=1, checkpoint=None, val_trace=[], best_epoch=0,
+                              error="synthetic divergence")
+        return real(fold, *args)
+
+    monkeypatch.setattr("genderfuse.train._run_fold", fail_fold_1)
+    partial = run()
+    assert partial.summary is None and partial.preds is None
+    assert [fr.test_accuracy for fr in partial.folds] == \
+        [whole.folds[0].test_accuracy, None, whole.folds[2].test_accuracy]
+    # the finished folds' metadata carries their test accuracy, as in a whole run
+    assert {p.name: p.read_bytes() for p in work.glob("fold*.json")} == \
+        {n: b for n, b in written.items() if n != "fold1.json"}
+
+
 def test_train_cv_scores_test_corpus(tmp_path):
     corpus = make_corpus(3)
     results = train_cv(corpus, tiny_arch(), k=2, epochs=1, seed=5,
@@ -293,7 +324,7 @@ def test_train_cv_scores_test_corpus(tmp_path):
 
 def test_train_cv_rejects_unlabeled_test_user(tmp_path):
     bad = [UserRecord("ghost", None, ["some words"])]
-    with pytest.raises(TrainingError, match="ghost"):
+    with pytest.raises(CorpusError, match="ghost"):
         train_cv(make_corpus(3), tiny_arch(), k=2, epochs=1, seed=5,
                  workdir=tmp_path, min_word_freq=1, test_corpus=bad)
 
