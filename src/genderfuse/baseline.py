@@ -206,6 +206,8 @@ def fit_linear(X, y, loss: str = "logistic", lam: float = 1e-4, *,
     """
     if loss not in ("logistic", "hinge"):
         raise BaselineError(f"unknown loss {loss!r} (expected logistic or hinge)")
+    if lam < 0:
+        raise BaselineError(f"ridge strength must be >= 0, got {lam}")
     X = sparse.csr_matrix(X)
     y = np.asarray(y)
     present = np.unique(y)

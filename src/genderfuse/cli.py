@@ -660,20 +660,22 @@ def _add_config_flags(sp) -> None:
 
 
 def _positive_int(s: str) -> int:
-    n = int(s)
+    try:
+        n = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
 
 
 def _parse_volumes(s: str) -> dict:
-    out = {}
-    for part in s.split(","):
-        year, eq, count = part.partition("=")
-        if not eq:
-            raise ValueError(f"expected YEAR=COUNT, got {part!r}")
-        out[int(year)] = int(count)
-    return out
+    try:
+        return {int(year): int(count)
+                for year, count in (part.split("=") for part in s.split(","))}
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected YEAR=COUNT[,YEAR=COUNT...] with integers, got {s!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

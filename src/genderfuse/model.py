@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -302,9 +302,11 @@ def forward(params: ModelParams, batch: Batch, mode: str = "eval",
     fused = mul_const(fused, mask[:, :, None].astype(params.dtype))
     pooled = []
     for w in arch.word_filter_widths:
-        conv = conv1d(fused, params.tensors[f"word_conv_w{w}"],
-                      params.tensors[f"word_conv_b{w}"], padding="same")
-        pooled.append(relu(max_over_time(conv, batch.doc_lens)))
+        # inlined so no name holds a conv output past its max
+        pooled.append(relu(max_over_time(
+            conv1d(fused, params.tensors[f"word_conv_w{w}"],
+                   params.tensors[f"word_conv_b{w}"], padding="same"),
+            batch.doc_lens)))
     doc_vec = concat(pooled, axis=-1) if len(pooled) > 1 else pooled[0]
     h = dense(doc_vec, params.tensors["dense_w"], params.tensors["dense_b"])
     h = relu(batch_norm(h, params.tensors["bn_gamma"], params.tensors["bn_beta"],
@@ -336,12 +338,17 @@ def train_step(params: ModelParams, batch: Batch, opt: Adam,
 
 
 def predict_probs(params: ModelParams, docs, batch_size: int | None = None) -> np.ndarray:
-    """Eval-mode class probabilities for a list of docs, chunked into batches."""
+    """Eval-mode class probabilities for a list of docs, chunked into batches.
+
+    The forward runs over views of the parameters that need no gradient, so
+    it records no tape and each conv output is freed once its max is taken.
+    """
     bs = params.arch.batch_size if batch_size is None else batch_size
+    frozen = replace(params, tensors={k: Tensor(t.data) for k, t in params.tensors.items()})
     out = []
     for lo in range(0, len(docs), bs):
         batch = make_batch(docs[lo:lo + bs])
-        out.append(forward(params, batch, mode="eval")[1])
+        out.append(forward(frozen, batch, mode="eval")[1])
     return np.concatenate(out, axis=0) if out else np.zeros((0, 2))
 
 

@@ -1,13 +1,15 @@
 """Dense-array numerical core with reverse-mode differentiation.
 
 A small tape-based autograd over numpy: each op builds a Tensor node whose
-backward closure scatters gradients into its parents.  Only the kernels the
-classifier needs are provided, each in the one form it uses: embedding
-lookup, 1-d convolution and dense layers with a bias, masked max-over-time
-pooling, batch norm (momentum and eps fixed), train-time inverted dropout,
-softmax cross-entropy and the L2 penalty.  Adam uses the standard betas and
-eps; ``grad_check`` returns each tensor's worst finite-difference error and
-leaves the pass bound to its caller.
+backward closure scatters gradients into its parents.  An op none of whose
+inputs requires a gradient records nothing, so a forward over plain tensors
+keeps no activation alive, and ``Tensor.backward`` frees each node as it
+sweeps.  Only the kernels the classifier needs are provided, each in the one
+form it uses: embedding lookup, 1-d convolution and dense layers with a
+bias, masked max-over-time pooling, batch norm (momentum and eps fixed),
+train-time inverted dropout, softmax cross-entropy and the L2 penalty.
+Adam uses the standard betas and eps; ``grad_check`` returns each tensor's
+worst finite-difference error and leaves the pass bound to its caller.
 
 Precision policy: tensors carry whatever float dtype their data has; training
 code uses float32, verification suites run the same code paths in float64.
@@ -48,7 +50,13 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output; it consumes the graph.
+
+        Each interior node drops its gradient, closure and parents once its
+        closure has run, so activations and gradients are freed during the
+        sweep.  Leaf tensors keep their gradients.  Run one backward per
+        graph.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar output, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -67,9 +75,13 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, None, ()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -201,7 +213,8 @@ def conv1d(x: Tensor, filters: Tensor, bias: Tensor, padding: str = "same") -> T
         pad = (0, 0)
     xp = np.pad(x.data, [(0, 0), pad, (0, 0)])
     win = sliding_window_view(xp, w, axis=1)  # (b, m, c_in, w)
-    out = np.tensordot(win, filters.data, axes=([3, 2], [0, 1])) + bias.data
+    out = np.tensordot(win, filters.data, axes=([3, 2], [0, 1]))
+    out += bias.data
 
     def backward(g):
         if bias.requires_grad:
@@ -242,10 +255,11 @@ def max_over_time(x: Tensor, valid_len) -> Tensor:
         if not x.requires_grad:
             return
         # first valid step equal to the max (train_step refuses a NaN max)
-        arg = ((x.data == out[:, None, :]) & valid).argmax(axis=1)
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
-        x.accumulate(gx)
+        arg = ((x.data == out[:, None, :]) & valid).argmax(axis=1)[:, None, :]
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        np.put_along_axis(x.grad, arg, np.take_along_axis(x.grad, arg, axis=1)
+                          + g[:, None, :], axis=1)
 
     return _node(out, (x,), backward)
 

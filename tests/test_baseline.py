@@ -288,6 +288,18 @@ def test_single_class_rejected():
         fit_linear(np.eye(3), np.zeros(3, dtype=int), "logistic")
 
 
+@pytest.mark.parametrize("lam", [-5.0, -1.0])
+def test_negative_ridge_rejected_before_any_step(monkeypatch, lam):
+    # -5 with lr=0.1 would divide by zero in the shrink factor; -1 would
+    # train every step before the model refused it
+    def no_step(z):
+        raise AssertionError("an SGD step ran")
+
+    monkeypatch.setattr(baseline, "expit", no_step)
+    with pytest.raises(BaselineError, match="ridge strength"):
+        fit_linear(np.eye(2), np.array([0, 1]), "logistic", lam=lam, lr=0.1)
+
+
 def test_unknown_loss_rejected():
     with pytest.raises(BaselineError, match="unknown loss"):
         fit_linear(np.eye(2), np.array([0, 1]), "perceptron")

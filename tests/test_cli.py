@@ -197,6 +197,25 @@ def test_synth_bad_rate_is_usage_error(tmp_path):
                  "--rate", "barriers=high"]) == 1
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--batch-size", ["predict", "--workdir", "W", "--users", "U", "--out", "O",
+                      "--batch-size", "x"]),
+    ("--volumes", ["synth", "tweets", "--seed", "1", "--out", "O", "--preds-out", "P",
+                   "--volumes", "x"]),
+    ("--volumes", ["synth", "tweets", "--seed", "1", "--out", "O", "--preds-out", "P",
+                   "--volumes", "2014=5,2015"]),
+])
+def test_bad_flag_value_is_usage_error_naming_the_flag(tmp_path, capsys, flag, argv):
+    files = {"W": tmp_path / "w", "U": tmp_path / "u.jsonl", "O": tmp_path / "out",
+             "P": tmp_path / "preds"}
+    assert main([str(files.get(a, a)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err, err
+    assert "_" not in err, err          # no private function name
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_preprocess_writes_token_lists(tmp_path):
     users = tmp_path / "users.jsonl"
     write_users_jsonl([UserRecord("a", "female", ["Hello WORLD", "x 123"])], users)

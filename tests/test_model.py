@@ -1,4 +1,5 @@
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,6 +436,69 @@ def test_full_model_gradients(setup):
     errors = grad_check(loss, p.tensors, samples_per_tensor=4,
                         rng=np.random.default_rng(23))
     assert max(errors.values()) < 1e-4, errors
+
+
+# ---------------------------------------------------------------------------
+# memory: what the tape keeps alive
+# ---------------------------------------------------------------------------
+
+def long_batch_setup():
+    """Three widths of 512 filters over four ~800-token docs.
+
+    Returns (params, docs, batch, conv output bytes, fused input bytes).
+    The fused input is only 24 channels wide, so the (b, n, filters) conv
+    outputs dominate every other array of the forward.
+    """
+    rng = np.random.default_rng(40)
+    words = [f"w{i}" for i in range(50)]
+    corpus = [UserRecord(f"u{i}", ("female", "male")[i % 2],
+                         [" ".join(rng.choice(words, 20)) for _ in range(20)])
+              for i in range(4)]
+    vocab = build_vocab(corpus, min_word_freq=1)
+    docs = [build_doc(u, vocab) for u in corpus]
+    arch = tiny_arch(word_dim=16, pos_dim=4, word_filters_per_width=512, batch_size=4)
+    p = init_params(arch, vocab, seed=41)
+    batch = make_batch(docs, [i % 2 for i in range(4)])
+    cells = batch.word_ids.size
+    return p, docs, batch, cells * 512 * 4, cells * arch.fused_dim * 4
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_keeps_one_conv_output_alive():
+    # Inference records no tape, so each width's conv output dies once its
+    # max is taken.  While the widest conv runs, alive are: its output
+    # (conv), the im2col copy tensordot makes of its windows (3 fused
+    # sizes), and fused-size arrays: the fused input, its zero-padded copy,
+    # the per-source embeddings it was concatenated from and the batch's
+    # index arrays (~4 fused sizes at these dims; 6 allowed).  A forward
+    # that keeps every conv output holds 3 of them.
+    p, docs, _, conv, fused = long_batch_setup()
+    im2col = 3 * fused
+    peak = traced_peak(lambda: predict_probs(p, docs))
+    assert peak < conv + im2col + 6 * fused, (peak, conv, fused)
+
+
+def test_train_step_frees_each_node_during_backward():
+    # Forward keeps all 3 conv outputs for the argmax of the pooling
+    # backward (3 conv sizes).  A sweep that frees each node as it goes
+    # adds one conv-output gradient at a time, plus the two bool masks of
+    # the argmax (1/4 conv size each): 4.5 conv sizes, and fused-size
+    # arrays well under one conv size here.  A sweep that keeps every
+    # gradient to its end also holds the first two widths' conv-output
+    # gradients when the third is pooled back, and a zero tensor added
+    # into the third: 7 conv sizes.  The bound, 6, sits between.
+    p, _, batch, conv, _ = long_batch_setup()
+    opt = Adam(p.trainable(), lr=p.arch.lr)
+    peak = traced_peak(lambda: train_step(p, batch, opt, np.random.default_rng(42)))
+    assert peak < 6 * conv, (peak, conv)
 
 
 # ---------------------------------------------------------------------------

@@ -273,11 +273,19 @@ def test_relu_after_pool_equals_pool_after_relu(dtype, data):
         x[-1, -1] = 9.0                        # global max in the padded tail
     w = np.array(data.draw(st.lists(values, min_size=b * c, max_size=b * c), label="w"),
                  dtype=dtype).reshape(b, c)
+    # optionally a second consumer of x, whose closure the sweep runs first:
+    # the pooling backward then adds into a gradient x already holds
+    v = data.draw(st.none() | st.lists(values, min_size=b * n * c, max_size=b * n * c),
+                  label="v")
+    v = None if v is None else np.array(v, dtype=dtype).reshape(b, n, c)
 
     def run(order):
         xt = Tensor(x.copy(), requires_grad=True)
         out = order(xt)
-        tsum(mul_const(out, w)).backward()
+        loss = tsum(mul_const(out, w))
+        if v is not None:
+            loss = add(tsum(mul_const(xt, v)), loss)
+        loss.backward()
         return out.data, xt.grad
 
     new, g_new = run(lambda xt: relu(max_over_time(xt, lens)))
@@ -296,7 +304,7 @@ def test_relu_after_pool_equals_pool_after_relu(dtype, data):
             col = list(x[r, :lens[r], j])
             if max(col) > 0:
                 want[r, col.index(max(col)), j] = w[r, j]
-    assert np.array_equal(g_new, want)
+    assert np.array_equal(g_new, want if v is None else v + want)
 
 
 def test_pool_forward_allocates_no_masked_copy():
@@ -648,6 +656,40 @@ def test_backward_requires_scalar():
     x = t64(np.ones((2, 2)))
     with pytest.raises(ShapeError, match="scalar"):
         relu(x).backward()
+
+
+def test_backward_frees_interior_nodes_and_keeps_leaf_gradients():
+    # the sweep consumes the graph; the leaves' gradients still match
+    # central differences of the nested-loop conv and pooling oracles
+    rng = np.random.default_rng(31)
+    x = t64(rng.standard_normal((2, 5, 3)))
+    f = t64(rng.standard_normal((3, 3, 4)))
+    b = t64(rng.standard_normal(4))
+    lens = np.array([5, 3])
+    wts = rng.standard_normal((2, 4))
+    conv = conv1d(x, f, b)
+    pool = max_over_time(conv, lens)
+    loss = tsum(mul_const(pool, wts))
+    loss.backward()
+    for node in (conv, pool, loss):
+        assert node.grad is None and node._backward is None and node._parents == ()
+
+    def oracle_loss():
+        return sum(float(wts[r] @ pool_oracle(conv1d_oracle(x.data[r], f.data, b.data, "same"),
+                                              lens[r]))
+                   for r in range(2))
+
+    for leaf in (x, f, b):
+        flat = leaf.data.reshape(-1)
+        numeric = np.empty_like(flat)
+        for c in range(flat.size):
+            orig = flat[c]
+            flat[c] = orig + 1e-6
+            up = oracle_loss()
+            flat[c] = orig - 1e-6
+            numeric[c] = (up - oracle_loss()) / 2e-6
+            flat[c] = orig
+        np.testing.assert_allclose(leaf.grad.reshape(-1), numeric, atol=1e-6)
 
 
 def test_shared_node_accumulates_both_paths():
