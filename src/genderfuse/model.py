@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, asdict, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -128,17 +129,19 @@ class ArchConfig:
 class ModelParams:
     arch: ArchConfig
     fingerprint: str
-    tensors: dict  # name -> Tensor, all requires_grad
+    tensors: dict  # name -> Tensor; all require a gradient but a frozen word_emb
     bn_state: BatchNormState
+
+    def __post_init__(self):
+        if self.arch.freeze_word_emb:
+            self.tensors["word_emb"].requires_grad = False
 
     @property
     def dtype(self):
         return self.tensors["word_emb"].data.dtype
 
     def trainable(self) -> dict:
-        if self.arch.freeze_word_emb:
-            return {k: v for k, v in self.tensors.items() if k != "word_emb"}
-        return dict(self.tensors)
+        return {k: v for k, v in self.tensors.items() if v.requires_grad}
 
     def regularized(self) -> list:
         """Conv filters and dense weights only; no biases, embeddings, or BN."""
@@ -223,6 +226,8 @@ def init_params(arch: ArchConfig, vocab, pretrained: dict | None = None,
 
 @dataclass
 class Batch:
+    """Padded id arrays of B docs; ``char_rows`` indexes the distinct char rows."""
+
     word_ids: np.ndarray   # (B, T) int64, PAD = 0
     pos_ids: np.ndarray    # (B, T)
     char_ids: np.ndarray   # (B, T, C)
@@ -234,6 +239,19 @@ class Batch:
     @property
     def size(self) -> int:
         return self.word_ids.shape[0]
+
+    @cached_property
+    def char_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, inverse)`` of the B*T char rows, computed on first use.
+
+        ``first`` indexes one occurrence of each distinct row and
+        ``inverse`` gathers them back to all rows.  Each row is keyed as
+        its bytes (char ids are < 97, so uint8) viewed as one ``np.void``.
+        """
+        c = self.char_ids.shape[2]
+        keys = self.char_ids.reshape(-1, c).astype(np.uint8).view(np.dtype((np.void, c)))
+        _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        return first, inverse
 
 
 def make_batch(docs, labels=None) -> Batch:
@@ -268,11 +286,27 @@ def make_batch(docs, labels=None) -> Batch:
 # ---------------------------------------------------------------------------
 
 def _char_summaries(params: ModelParams, batch: Batch) -> Tensor:
+    """Per-token char CNN summaries, (B, T, char_filters).
+
+    A token's summary depends only on its char row.  When no char parameter
+    needs a gradient (inference), the path runs over the batch's distinct
+    rows (``Batch.char_rows``) and gathers back; training runs it per token,
+    because per-row gradients would be summed in another order.  The
+    token-type table of ROADMAP item 7 removes this branch.
+    """
     b, t, c = batch.char_ids.shape
-    emb = embedding_lookup(params.tensors["char_emb"], batch.char_ids.reshape(b * t, c))
+    rows, lens = batch.char_ids.reshape(b * t, c), batch.char_lens.reshape(b * t)
+    per_type = not any(params.tensors[k].requires_grad
+                       for k in ("char_emb", "char_conv_w", "char_conv_b"))
+    if per_type:
+        first, inverse = batch.char_rows
+        rows, lens = rows[first], lens[first]
+    emb = embedding_lookup(params.tensors["char_emb"], rows)
     conv = conv1d(emb, params.tensors["char_conv_w"], params.tensors["char_conv_b"],
                   padding="same")
-    pooled = relu(max_over_time(conv, batch.char_lens.reshape(b * t)))
+    pooled = relu(max_over_time(conv, lens))
+    if per_type:
+        pooled = Tensor(pooled.data[inverse])
     return reshape(pooled, (b, t, params.arch.char_filters))
 
 
@@ -296,6 +330,7 @@ def forward(params: ModelParams, batch: Batch, mode: str = "eval",
     if arch.uses_pos:
         parts.append(embedding_lookup(params.tensors["pos_emb"], batch.pos_ids))
     fused = concat(parts, axis=-1) if len(parts) > 1 else parts[0]
+    del parts   # at inference the embeddings die here, before the convs run
     # zero padded token positions so batch padding cannot leak into the conv
     t_max = batch.word_ids.shape[1]
     mask = (np.arange(t_max)[None, :] < batch.doc_lens[:, None])
@@ -337,19 +372,24 @@ def train_step(params: ModelParams, batch: Batch, opt: Adam,
     return value
 
 
-def predict_probs(params: ModelParams, docs, batch_size: int | None = None) -> np.ndarray:
-    """Eval-mode class probabilities for a list of docs, chunked into batches.
+def predict_probs(models, docs, batch_size: int | None = None) -> np.ndarray:
+    """Eval-mode class probabilities of k models for n docs, shape (k, n, 2).
 
-    The forward runs over views of the parameters that need no gradient, so
-    it records no tape and each conv output is freed once its max is taken.
+    Each batch is built once and every model runs on it before the next is
+    built, so one batch is alive at a time.  The forward runs over views of
+    the parameters that need no gradient, so it records no tape, each conv
+    output is freed once its max is taken, and the char path runs over the
+    batch's distinct char rows.  The batch size is the first model's unless
+    given.
     """
-    bs = params.arch.batch_size if batch_size is None else batch_size
-    frozen = replace(params, tensors={k: Tensor(t.data) for k, t in params.tensors.items()})
+    bs = models[0].arch.batch_size if batch_size is None else batch_size
+    frozen = [replace(p, tensors={k: Tensor(t.data) for k, t in p.tensors.items()})
+              for p in models]
     out = []
     for lo in range(0, len(docs), bs):
         batch = make_batch(docs[lo:lo + bs])
-        out.append(forward(frozen, batch, mode="eval")[1])
-    return np.concatenate(out, axis=0) if out else np.zeros((0, 2))
+        out.append([forward(f, batch, mode="eval")[1] for f in frozen])
+    return np.concatenate(out, axis=1) if out else np.zeros((len(models), 0, 2))
 
 
 # ---------------------------------------------------------------------------

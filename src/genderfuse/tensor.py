@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
 
 from .errors import ShapeError, TrainingError
 
@@ -165,7 +166,10 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Rows of ``table`` gathered by integer ``ids`` (any shape).
 
-    Output shape is ids.shape + (d,); the gradient scatters (sums) into rows.
+    Output shape is ids.shape + (d,).  The gradient sums into rows as one
+    sparse product: a (vocab x N) CSR scatter of ones times the (N, d)
+    gradient, which adds each id's rows in position order from zero, the
+    order ``np.add.at`` uses.
     """
     ids = np.asarray(ids, dtype=np.int64)
     vocab = table.data.shape[0]
@@ -179,9 +183,10 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
     def backward(g):
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids.ravel(), g.reshape(-1, table.data.shape[1]))
+            n = ids.size
+            scatter = sparse.csr_matrix((np.ones(n, dtype=g.dtype), (ids.ravel(), np.arange(n))),
+                                        shape=(vocab, n))
+            table.accumulate(scatter @ g.reshape(-1, table.data.shape[1]))
 
     return _node(table.data[ids], (table,), backward)
 

@@ -17,10 +17,15 @@ preprocessing rules and is applied in a fixed order:
 The cascade is a total, idempotent function of the input string.  Marker
 tokens keep their angle brackets so they can never collide with natural
 words.
+
+A document resolves each distinct surface token once: its POS-tag and char
+ids come from a bounded cache keyed by the surface (``surface_ids``), its
+word id from the vocabulary, and the doc's arrays gather them back.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -308,6 +313,7 @@ PAD_ID = 0
 UNK_ID = 1
 
 
+@functools.cache
 def _char_map() -> dict[str, int]:
     chars = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
     for code in range(32, 127):  # printable ASCII
@@ -315,6 +321,7 @@ def _char_map() -> dict[str, int]:
     return chars
 
 
+@functools.cache
 def _tag_map() -> dict[str, int]:
     tags = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
     for tag in TAGSET:
@@ -330,8 +337,8 @@ class Vocab:
 
     def __init__(self, words: dict[str, int]):
         self.words = dict(words)
-        self.chars = _char_map()
-        self.tags = _tag_map()
+        self.chars = dict(_char_map())
+        self.tags = dict(_tag_map())
         payload = json.dumps(
             [sorted(self.words.items(), key=lambda kv: kv[1]), len(self.chars), len(self.tags)],
             ensure_ascii=False)
@@ -351,13 +358,6 @@ class Vocab:
 
     def word_id(self, surface: str) -> int:
         return self.words.get(surface, UNK_ID)
-
-    def char_ids(self, surface: str) -> list[int]:
-        """Char ids of the first ``MAX_TOKEN_CHARS`` characters of ``surface``."""
-        return [self.chars.get(c, UNK_ID) for c in surface[:MAX_TOKEN_CHARS]]
-
-    def tag_id(self, tag: str) -> int:
-        return self.tags.get(tag, UNK_ID)
 
     def fingerprint(self) -> str:
         return self._fingerprint
@@ -417,23 +417,45 @@ class TokenizedDoc:
     fingerprint: str
 
 
+SURFACE_CACHE_SIZE = 16384
+
+
+@functools.lru_cache(maxsize=SURFACE_CACHE_SIZE)
+def surface_ids(surface: str) -> tuple[int, tuple[int, ...]]:
+    """POS-tag id and char ids of one surface token.
+
+    Both come from the fixed tag and char maps, so they do not depend on the
+    vocabulary; the char ids cover the first ``MAX_TOKEN_CHARS`` characters.
+    A full cache of ``SURFACE_CACHE_SIZE`` entries measured 6.5 MB with
+    tracemalloc for 20-char surfaces and 10.8 MB for 280-char ones (the
+    tweet limit), keys included.
+    """
+    chars = _char_map()
+    return (_tag_map()[tag_word(surface)],
+            tuple(chars.get(c, UNK_ID) for c in surface[:MAX_TOKEN_CHARS]))
+
+
 def build_doc(user, vocab: Vocab) -> TokenizedDoc:
     """Normalize, tokenize, tag and resolve all tweets of one user into one doc.
 
     Tweets are concatenated in order and the token stream is truncated
-    head-preserving at ``MAX_DOC_TOKENS``.
+    head-preserving at ``MAX_DOC_TOKENS``.  Each distinct surface is resolved
+    once, then gathered back to token order.
     """
     tokens: list[str] = []
     for toks in tokenize_tweets(user.tweets):
         tokens += toks[:MAX_DOC_TOKENS - len(tokens)]
     if not tokens:
         raise TextPipeError(f"user {user.user_id!r}: no tokens survive preprocessing")
-    chars = [vocab.char_ids(t) for t in tokens]
-    lens = np.fromiter(map(len, chars), dtype=np.int64)
-    char_ids = np.zeros((len(tokens), lens.max()), dtype=np.int64)
+    types: dict[str, int] = {}
+    inverse = np.fromiter((types.setdefault(t, len(types)) for t in tokens),
+                          dtype=np.int64, count=len(tokens))
+    tag_ids, chars = zip(*map(surface_ids, types))
+    lens = np.fromiter(map(len, chars), dtype=np.int64, count=len(chars))
+    char_ids = np.zeros((len(chars), lens.max()), dtype=np.int64)
     char_ids[np.arange(lens.max()) < lens[:, None]] = list(chain.from_iterable(chars))
     return TokenizedDoc(
         user_id=user.user_id, tokens=tokens,
-        word_ids=np.fromiter(map(vocab.word_id, tokens), dtype=np.int64),
-        pos_ids=np.fromiter(map(vocab.tag_id, pos_tag(tokens)), dtype=np.int64),
-        char_ids=char_ids, fingerprint=vocab.fingerprint())
+        word_ids=np.fromiter(map(vocab.word_id, types), dtype=np.int64, count=len(types))[inverse],
+        pos_ids=np.array(tag_ids, dtype=np.int64)[inverse],
+        char_ids=char_ids[inverse], fingerprint=vocab.fingerprint())

@@ -185,7 +185,7 @@ def _run_fold(fold: int, train_docs, train_labels, val_docs, val_labels,
                 batch = make_batch([train_docs[j] for j in idx],
                                    [train_labels[j] for j in idx])
                 train_step(params, batch, opt, rng)
-            acc = _accuracy(predict_probs(params, val_docs), val_labels)
+            acc = _accuracy(predict_probs([params], val_docs)[0], val_labels)
             trace.append(acc)
             if acc > best:          # strict: the first maximum wins
                 best, best_epoch = acc, epoch
@@ -298,7 +298,7 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
     all_probs = []
     for i in finished:
         params = load_params(workdir / f"fold{i}.gfus", expect_fingerprint=vocab.fingerprint())
-        all_probs.append(predict_probs(params, eval_docs))
+        all_probs.append(predict_probs([params], eval_docs)[0])
         if test_corpus is not None:
             results[i] = replace(results[i], test_accuracy=_accuracy(all_probs[-1], eval_labels))
         if i in pending:
@@ -362,8 +362,7 @@ def predict_ensemble(checkpoints, docs,
                 f"the documents' vocabulary {fp}")
         if m.arch != models[0].arch:
             raise CheckpointError("ensemble members disagree on architecture")
-    all_probs = np.stack([predict_probs(m, docs, batch_size) for m in models])
-    return voted_predictions([d.user_id for d in docs], all_probs)[1]
+    return voted_predictions([d.user_id for d in docs], predict_probs(models, docs, batch_size))[1]
 
 
 def evaluate(preds, users) -> float:

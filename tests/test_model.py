@@ -1,5 +1,7 @@
 import string
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +22,10 @@ from genderfuse.model import (
     save_params,
     train_step,
 )
-from genderfuse.tensor import (Adam, add, conv1d, embedding_lookup, grad_check, l2_penalty,
-                               max_over_time, relu, softmax_xent)
-from genderfuse.textpipe import (MAX_DOC_TOKENS, MAX_TOKEN_CHARS, build_doc, build_vocab,
-                                 pos_tag, tokenize_tweets)
+from genderfuse.tensor import (Adam, Tensor, add, conv1d, embedding_lookup, grad_check,
+                               l2_penalty, max_over_time, relu, softmax_xent)
+from genderfuse.textpipe import (MAX_DOC_TOKENS, MAX_TOKEN_CHARS, UNK_ID, build_doc,
+                                 build_vocab, pos_tag, tokenize_tweets)
 
 
 def tiny_arch(**kw):
@@ -204,6 +206,42 @@ def test_batched_char_summaries_match_single(setup):
         np.testing.assert_allclose(summaries[row, t], single, atol=1e-12)
 
 
+def frozen_view(p):
+    """The gradient-free view of the parameters that inference runs on."""
+    return replace(p, tensors={k: Tensor(t.data) for k, t in p.tensors.items()})
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+def test_eval_char_summaries_run_once_per_distinct_row(dtype, tol, monkeypatch):
+    import genderfuse.model as model
+    # repeated tokens, tokens of different lengths padded to the longest,
+    # one-token docs, and the padded token slots of the shorter docs
+    corpus = [UserRecord("a", "male", ["hi"]), UserRecord("b", "female", ["hi"]),
+              UserRecord("c", "male", ["the cat the cat sat", "cat naps supercalifragilistic"]),
+              UserRecord("d", "female", ["x"])]
+    vocab = build_vocab(corpus, min_word_freq=1)
+    batch = make_batch([build_doc(u, vocab) for u in corpus])
+    rows = batch.char_ids.reshape(-1, batch.char_ids.shape[2])
+    first, inverse = batch.char_rows
+    n_distinct = len(np.unique(rows, axis=0))
+    assert len(first) == n_distinct < len(rows)
+    np.testing.assert_array_equal(rows[first][inverse], rows)
+
+    p = init_params(tiny_arch(), vocab, dtype=dtype, seed=8)
+    conv_rows = []
+
+    def counting_conv(x, filters, bias, padding):
+        conv_rows.append(x.shape[0])
+        return conv1d(x, filters, bias, padding=padding)
+
+    monkeypatch.setattr(model, "conv1d", counting_conv)
+    per_token = model._char_summaries(p, batch)
+    per_type = model._char_summaries(frozen_view(p), batch)
+    assert conv_rows == [len(rows), n_distinct]
+    assert per_type.data.dtype == per_token.data.dtype
+    np.testing.assert_allclose(per_type.data, per_token.data, rtol=tol, atol=tol)
+
+
 # ---------------------------------------------------------------------------
 # batching and forward
 # ---------------------------------------------------------------------------
@@ -213,7 +251,9 @@ def make_batch_oracle(users, vocab, labels=None) -> Batch:
     streams = []
     for u in users:
         toks = [t for tweet in tokenize_tweets(u.tweets) for t in tweet][:MAX_DOC_TOKENS]
-        streams.append([(vocab.word_id(t), vocab.char_ids(t), vocab.tag_id(g))
+        streams.append([(vocab.word_id(t),
+                         [vocab.chars.get(c, UNK_ID) for c in t[:MAX_TOKEN_CHARS]],
+                         vocab.tags[g])
                         for t, g in zip(toks, pos_tag(toks))])
     b = len(streams)
     t_max = max(len(s) for s in streams)
@@ -335,9 +375,53 @@ def test_forward_batch_composition_invariance(setup):
     # a doc's probabilities must not depend on what it is batched with
     _, vocab, docs, _ = setup
     p = init_params(tiny_arch(), vocab, seed=12)
-    alone = predict_probs(p, [docs[0]])
-    together = predict_probs(p, docs)
+    alone = predict_probs([p], [docs[0]])[0]
+    together = predict_probs([p], docs)[0]
     np.testing.assert_allclose(alone[0], together[0], atol=1e-6)
+
+
+def test_predict_probs_builds_each_batch_once_for_all_models(setup, monkeypatch):
+    import genderfuse.model as model
+    _, vocab, docs, _ = setup
+    docs = docs * 3
+    models = [init_params(tiny_arch(), vocab, seed=s) for s in (30, 31, 32)]
+    calls = []
+
+    def counting_make_batch(chunk, labels=None):
+        calls.append(len(chunk))
+        return make_batch(chunk, labels)
+
+    monkeypatch.setattr(model, "make_batch", counting_make_batch)
+    probs = predict_probs(models, docs, batch_size=5)
+    assert calls == [5, 5, 2]   # ceil(12 / 5) batches, not that many per model
+    assert probs.shape == (3, len(docs), 2)
+    solo = np.stack([predict_probs([m], docs, batch_size=5)[0] for m in models])
+    np.testing.assert_array_equal(probs, solo)
+    assert predict_probs(models, [], batch_size=5).shape == (3, 0, 2)
+
+
+def test_forward_frees_embeddings_before_word_convs(setup, monkeypatch):
+    # at inference nothing holds the word, char and POS inputs of the fused
+    # array once it exists, so none of them is alive while a word conv runs
+    import genderfuse.model as model
+    _, vocab, docs, _ = setup
+    p = init_params(tiny_arch(), vocab, seed=14)
+    lookups, alive = [], []
+
+    def tracking_lookup(table, ids):
+        out = embedding_lookup(table, ids)
+        lookups.append(weakref.ref(out.data))
+        return out
+
+    def checking_conv(x, filters, bias, padding):
+        if x.shape[-1] == p.arch.fused_dim:
+            alive.append(sum(ref() is not None for ref in lookups))
+        return conv1d(x, filters, bias, padding=padding)
+
+    monkeypatch.setattr(model, "embedding_lookup", tracking_lookup)
+    monkeypatch.setattr(model, "conv1d", checking_conv)
+    predict_probs([p], docs)
+    assert len(lookups) == 3 and alive == [0, 0, 0]
 
 
 def test_forward_rejects_foreign_vocab(setup):
@@ -402,6 +486,23 @@ def test_l2_bookkeeping_at_first_step(setup):
     loss_plain, _ = first_loss(0.0)
     assert penalty > 0
     assert loss_reg - loss_plain == pytest.approx(penalty, rel=1e-6)
+
+
+def test_frozen_word_embeddings_take_no_gradient(setup, tmp_path):
+    _, vocab, docs, labels = setup
+    p = init_params(tiny_arch(freeze_word_emb=True), vocab, seed=16)
+    word = p.tensors["word_emb"]
+    before = word.data.copy()
+    assert not word.requires_grad and "word_emb" not in p.trainable()
+    opt = Adam(p.trainable(), lr=0.01)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        train_step(p, make_batch(docs, labels), opt, rng)
+        assert word.grad is None
+    np.testing.assert_array_equal(word.data, before)
+    assert p.tensors["char_emb"].grad is not None
+    save_params(p, tmp_path / "m.gfus")
+    assert "word_emb" not in load_params(tmp_path / "m.gfus").trainable()
 
 
 def test_pad_rows_stay_zero_after_training(setup):
@@ -476,14 +577,15 @@ def test_predict_keeps_one_conv_output_alive():
     # Inference records no tape, so each width's conv output dies once its
     # max is taken.  While the widest conv runs, alive are: its output
     # (conv), the im2col copy tensordot makes of its windows (3 fused
-    # sizes), and fused-size arrays: the fused input, its zero-padded copy,
-    # the per-source embeddings it was concatenated from and the batch's
-    # index arrays (~4 fused sizes at these dims; 6 allowed).  A forward
-    # that keeps every conv output holds 3 of them.
+    # sizes), and fused-size arrays: the fused input, its zero-padded copy
+    # and the batch's index arrays (~3.1 fused sizes at these dims; 5
+    # allowed).  A forward that keeps the per-source embeddings the fused
+    # input was concatenated from holds ~4.0; one that keeps every conv
+    # output holds 3 of them.
     p, docs, _, conv, fused = long_batch_setup()
     im2col = 3 * fused
-    peak = traced_peak(lambda: predict_probs(p, docs))
-    assert peak < conv + im2col + 6 * fused, (peak, conv, fused)
+    peak = traced_peak(lambda: predict_probs([p], docs))
+    assert peak < conv + im2col + 5 * fused, (peak, conv, fused)
 
 
 def test_train_step_frees_each_node_during_backward():
@@ -522,8 +624,7 @@ def test_checkpoint_roundtrip_bitwise(setup, tmp_path):
     np.testing.assert_array_equal(q.bn_state.mean, p.bn_state.mean)
     np.testing.assert_array_equal(q.bn_state.var, p.bn_state.var)
     # and the loaded model predicts identically
-    np.testing.assert_array_equal(predict_probs(p, docs),
-                                  predict_probs(q, docs))
+    np.testing.assert_array_equal(predict_probs([p], docs), predict_probs([q], docs))
 
 
 def test_checkpoint_corrupt_magic(setup, tmp_path):

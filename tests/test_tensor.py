@@ -195,6 +195,32 @@ def test_embedding_grad_matches_fd():
     assert max(errors.values()) < 1e-4, errors
 
 
+@settings(max_examples=150, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+def test_embedding_backward_equals_add_at_bitwise(dtype, data):
+    # ids repeat and hit PAD (0); g holds signed zeros; ids are 1-D or 2-D
+    vocab = data.draw(st.integers(1, 12))
+    shape = data.draw(st.sampled_from([(0,), (1,), (7,), (3, 4), (5, 9), (2, 1)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d = data.draw(st.integers(1, 5))
+    ids = rng.integers(0, vocab, size=shape)
+    ids[rng.random(shape) < 0.25] = 0
+    g = rng.standard_normal(shape + (d,)).astype(dtype)
+    g[rng.random(g.shape) < 0.3] = -0.0
+    g[rng.random(g.shape) < 0.1] = 0.0
+    want = np.zeros((vocab, d), dtype=dtype)
+    np.add.at(want, ids.ravel(), g.reshape(-1, d))
+    table = Tensor(rng.standard_normal((vocab, d)).astype(dtype), requires_grad=True)
+    embedding_lookup(table, ids)._backward(g)
+    assert table.grad.dtype == want.dtype
+    assert table.grad.tobytes() == want.tobytes()
+    # into a gradient the table already holds: equal within rounding
+    held = rng.standard_normal((vocab, d)).astype(dtype)
+    table.grad = held.copy()
+    embedding_lookup(table, ids)._backward(g)
+    np.testing.assert_allclose(table.grad, held + want, rtol=1e-6, atol=1e-6)
+
+
 def test_embedding_id_out_of_range():
     table = t64(np.ones((2, 2)))
     with pytest.raises(ShapeError, match="id 5 at flat position 1"):

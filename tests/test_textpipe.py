@@ -1,7 +1,10 @@
 import json
+import string
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from genderfuse.textpipe import (
     MAX_TOKEN_CHARS,
     MARKER_TAG,
     PAD_ID,
+    SURFACE_CACHE_SIZE,
     TAGSET,
     UNK_ID,
     Vocab,
@@ -21,8 +25,10 @@ from genderfuse.textpipe import (
     build_vocab,
     normalize,
     pos_tag,
+    surface_ids,
     tag_word,
     tokenize,
+    tokenize_tweets,
 )
 
 GOLDENS = json.loads(
@@ -163,7 +169,8 @@ def test_tag_map_covers_tagset():
     v = Vocab({"<pad>": 0, "<unk>": 1})
     assert set(TAGSET) <= set(v.tags)
     assert v.n_tags == len(TAGSET) + 2
-    assert v.tag_id("NOTATAG") == UNK_ID
+    assert surface_ids("the")[0] == v.tags["DT"]
+    assert surface_ids("<url>")[0] == v.tags[MARKER_TAG]
 
 
 def test_build_vocab_min_freq():
@@ -189,9 +196,10 @@ def test_vocab_json_roundtrip_preserves_fingerprint():
 
 def test_char_ids_truncation_and_unk():
     v = Vocab({"<pad>": 0, "<unk>": 1})
-    ids = v.char_ids("a" * 50)
+    ids = surface_ids("a" * 50)[1]
     assert len(ids) == MAX_TOKEN_CHARS == 20
-    assert v.char_ids("é") == [UNK_ID]  # non-ASCII char
+    assert ids == (v.chars["a"],) * 20
+    assert surface_ids("é")[1] == (UNK_ID,)  # non-ASCII char
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +240,62 @@ def test_build_doc_zero_tokens_names_user():
     ghost = SimpleNamespace(user_id="ghost", tweets=[])
     with pytest.raises(TextPipeError, match="ghost"):
         build_doc(ghost, v)
+
+
+def build_doc_oracle(user, vocab):
+    """The per-occurrence build: every token tagged and resolved where it stands."""
+    tokens = []
+    for toks in tokenize_tweets(user.tweets):
+        tokens += toks[:MAX_DOC_TOKENS - len(tokens)]
+    chars = [[vocab.chars.get(c, UNK_ID) for c in t[:MAX_TOKEN_CHARS]] for t in tokens]
+    lens = np.fromiter(map(len, chars), dtype=np.int64)
+    char_ids = np.zeros((len(tokens), lens.max()), dtype=np.int64)
+    char_ids[np.arange(lens.max()) < lens[:, None]] = list(chain.from_iterable(chars))
+    word_ids = np.fromiter(map(vocab.word_id, tokens), dtype=np.int64)
+    pos_ids = np.fromiter((vocab.tags[g] for g in pos_tag(tokens)), dtype=np.int64)
+    return tokens, word_ids, pos_ids, char_ids
+
+
+def assert_doc_matches_oracle(doc, user, vocab):
+    tokens, *arrays = build_doc_oracle(user, vocab)
+    assert doc.tokens == tokens
+    for name, want in zip(("word_ids", "pos_ids", "char_ids"), arrays):
+        got = getattr(doc, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert doc.fingerprint == vocab.fingerprint()
+
+
+_DOC_WORDS = st.one_of(
+    st.sampled_from(["the", "cat", "runs", "wow!!!", "<3", ":)", "#tag", "@bob",
+                     "http://t.co/x", "LOUD", "12.5"]),
+    st.text(alphabet="abcxyz", min_size=MAX_TOKEN_CHARS + 1, max_size=30),
+    st.text(alphabet="aéüßж€😀", min_size=1, max_size=6),
+    st.text(alphabet=string.ascii_letters + string.digits + "'!?.,", min_size=1, max_size=8),
+)
+_DOC_TWEETS = st.lists(_DOC_WORDS, min_size=1, max_size=10).map(" ".join)
+
+
+@settings(max_examples=80, deadline=None)
+@given(users=st.lists(st.lists(_DOC_TWEETS, min_size=1, max_size=4), min_size=1, max_size=4),
+       repeat=st.integers(1, 3), vocab_users=st.integers(0, 4))
+def test_build_doc_matches_per_token_oracle(users, repeat, vocab_users):
+    # repeated tweets repeat tokens; a vocabulary from a prefix of the users
+    # leaves the rest with OOV words; the fixed user is a one-token doc
+    corpus = [_user("one", ["hi"])] + [_user(f"u{i}", tw * repeat) for i, tw in enumerate(users)]
+    vocab = build_vocab(corpus[:vocab_users + 1], min_word_freq=1)
+    for u in corpus:
+        assert_doc_matches_oracle(build_doc(u, vocab), u, vocab)
+
+
+def test_build_doc_matches_oracle_past_the_surface_cache():
+    # more distinct surfaces than the cache holds, then the first ones again
+    # after they were evicted, each doc a full MAX_DOC_TOKENS of distinct words
+    n_docs = SURFACE_CACHE_SIZE // MAX_DOC_TOKENS + 2
+    words = [f"w{i}x" for i in range(n_docs * MAX_DOC_TOKENS)]
+    corpus = [_user(f"u{d}", [" ".join(words[d * MAX_DOC_TOKENS:(d + 1) * MAX_DOC_TOKENS])])
+              for d in range(n_docs)]
+    vocab = build_vocab(corpus[:1], min_word_freq=1)
+    for u in corpus + corpus[:1]:
+        assert_doc_matches_oracle(build_doc(u, vocab), u, vocab)
+    assert surface_ids.cache_info().currsize <= SURFACE_CACHE_SIZE

@@ -371,7 +371,7 @@ def test_identical_members_equal_single_model(tmp_path):
     save_params(p, path)
     preds = predict_ensemble([path] * 5, docs)
     from genderfuse.model import predict_probs
-    solo = predict_probs(p, docs)
+    solo = predict_probs([p], docs)[0]
     for i, pred in enumerate(preds):
         want = GENDERS[int(np.argmax(solo[i]))]
         assert pred.voted_gender == want
