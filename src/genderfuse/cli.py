@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .corpus import (
     write_predictions_jsonl,
     write_users_jsonl,
 )
-from .errors import ConfigError, CorpusError, GenderfuseError
+from .errors import CheckpointError, ConfigError, CorpusError, GenderfuseError
 from .ioutil import read_json, write_json, write_jsonl
 from .model import (
     ArchConfig,
@@ -328,9 +329,16 @@ def _cmd_predict(args) -> int:
     if not vocab_path.exists():
         raise CorpusError(f"{vocab_path}: missing; train in this directory first")
     vocab = read_json(vocab_path, Vocab.from_json)
-    checkpoints = sorted(workdir.glob("fold*.gfus"))
-    if not checkpoints:
+    # fold order, not name order: fold_probs[i] is fold i's probability
+    found = {int(m[1]): p for p in workdir.glob("fold*.gfus")
+             if (m := re.fullmatch(r"fold(0|[1-9][0-9]*)\.gfus", p.name))}
+    if not found:
         raise CorpusError(f"{workdir}: no fold checkpoints found")
+    missing = [f"fold{i}.gfus" for i in range(max(found)) if i not in found]
+    if missing:
+        raise CheckpointError(f"{workdir}: missing {', '.join(missing)} of folds "
+                              f"0..{max(found)}; retrain in this directory")
+    checkpoints = [found[i] for i in range(len(found))]
     users = read_users_jsonl(args.users)
     docs = [build_doc(u, vocab) for u in users]
     preds = predict_ensemble(checkpoints, docs, batch_size=args.batch_size)
@@ -519,7 +527,7 @@ def _check_conv_oracle():
         x = rng.standard_normal((n, c_in))
         f = rng.standard_normal((w, c_in, c_out))
         b = rng.standard_normal(c_out)
-        got = conv1d(Tensor(x[None]), Tensor(f), Tensor(b), padding="same").data[0]
+        got = conv1d(Tensor(x[None]), Tensor(f), Tensor(b)).data[0]
         left = (w - 1) // 2
         want = np.zeros((n, c_out))
         for t in range(n):
@@ -703,8 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "convert a directory of per-author XML files to users JSONL")
     sp.add_argument("author_dir", help="directory of <author id>.xml files")
     sp.add_argument("--truth", metavar="FILE",
-                    help="id:::gender truth file; authors missing from it "
-                         "stay unlabeled")
+                    help="id:::gender truth file, which must exist; authors "
+                         "missing from it stay unlabeled")
     sp.add_argument("--out", required=True, metavar="FILE",
                     help="users JSONL destination")
 

@@ -131,11 +131,12 @@ def import_pan(author_dir, truth_path) -> tuple[list[UserRecord], list[str]]:
     """Read a directory of per-author XML files plus an ``id:::gender`` truth file.
 
     Returns ``(corpus, warnings)``.  Authors missing from the truth file get
-    an absent gender and a warning; malformed XML raises naming the file.
+    an absent gender and a warning; malformed XML raises naming the file,
+    and a truth file that cannot be opened raises ``OSError``.
     """
     author_dir = Path(author_dir)
     truth = {}
-    if truth_path is not None and Path(truth_path).exists():
+    if truth_path is not None:
         for lineno, line in text_lines(truth_path):
             line = line.strip()
             if not line:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import GENDERS
 from .errors import CheckpointError, ConfigError, CorpusError, ShapeError, TrainingError
 from .ioutil import atomic_open, checkpoint_errors, text_lines
 from .tensor import (
@@ -42,7 +43,7 @@ from .tensor import (
 VARIANTS = ("cnn", "cnn_char", "cnn_char_pos")
 
 CHECKPOINT_MAGIC = b"GFUS"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -67,7 +68,6 @@ class ArchConfig:
     l2: float = 1e-5
     lr: float = 0.001
     batch_size: int = 64
-    classes: int = 2
     freeze_word_emb: bool = False
 
     def __post_init__(self):
@@ -87,8 +87,6 @@ class ArchConfig:
             raise ConfigError(f"bad filter widths {self.word_filter_widths}")
         if list(self.word_filter_widths) != sorted(self.word_filter_widths):
             raise ConfigError(f"filter widths must be ascending, got {self.word_filter_widths}")
-        if self.classes != 2:
-            raise ConfigError("only binary classification is supported")
 
     @property
     def uses_chars(self) -> bool:
@@ -211,8 +209,8 @@ def init_params(arch: ArchConfig, vocab, pretrained: dict | None = None,
     tensors["dense_b"] = Tensor(np.zeros(arch.dense_units, dtype=dtype), requires_grad=True)
     tensors["bn_gamma"] = Tensor(np.ones(arch.dense_units, dtype=dtype), requires_grad=True)
     tensors["bn_beta"] = Tensor(np.zeros(arch.dense_units, dtype=dtype), requires_grad=True)
-    tensors["out_w"] = uniform(arch.dense_units, arch.classes)
-    tensors["out_b"] = Tensor(np.zeros(arch.classes, dtype=dtype), requires_grad=True)
+    tensors["out_w"] = uniform(arch.dense_units, len(GENDERS))
+    tensors["out_b"] = Tensor(np.zeros(len(GENDERS), dtype=dtype), requires_grad=True)
 
     params = ModelParams(arch=arch, fingerprint=vocab.fingerprint(), tensors=tensors,
                          bn_state=BatchNormState.fresh(arch.dense_units, dtype=dtype))
@@ -302,8 +300,7 @@ def _char_summaries(params: ModelParams, batch: Batch) -> Tensor:
         first, inverse = batch.char_rows
         rows, lens = rows[first], lens[first]
     emb = embedding_lookup(params.tensors["char_emb"], rows)
-    conv = conv1d(emb, params.tensors["char_conv_w"], params.tensors["char_conv_b"],
-                  padding="same")
+    conv = conv1d(emb, params.tensors["char_conv_w"], params.tensors["char_conv_b"])
     pooled = relu(max_over_time(conv, lens))
     if per_type:
         pooled = Tensor(pooled.data[inverse])
@@ -340,7 +337,7 @@ def forward(params: ModelParams, batch: Batch, mode: str = "eval",
         # inlined so no name holds a conv output past its max
         pooled.append(relu(max_over_time(
             conv1d(fused, params.tensors[f"word_conv_w{w}"],
-                   params.tensors[f"word_conv_b{w}"], padding="same"),
+                   params.tensors[f"word_conv_b{w}"]),
             batch.doc_lens)))
     doc_vec = concat(pooled, axis=-1) if len(pooled) > 1 else pooled[0]
     h = dense(doc_vec, params.tensors["dense_w"], params.tensors["dense_b"])

@@ -195,29 +195,20 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # convolution and pooling
 # ---------------------------------------------------------------------------
 
-def conv1d(x: Tensor, filters: Tensor, bias: Tensor, padding: str = "same") -> Tensor:
-    """1-d convolution over time.
+def conv1d(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
+    """1-d convolution over time with "same" (zero) padding.
 
     ``x`` is (b, n, c_in); ``filters`` is (w, c_in, c_out).
     out[r, t, o] = bias[o] + sum_{j,i} x[r, t + j - offset, i] * filters[j, i, o]
-    with offset = (w-1)//2 and zero padding for "same"; "valid" yields
-    n - w + 1 output steps.
+    with offset = (w-1)//2, so the output keeps all n steps.
     """
-    if padding not in ("same", "valid"):
-        raise ShapeError(f"conv1d: unknown padding {padding!r}")
     w, c_in, c_out = filters.data.shape
     if x.data.ndim != 3 or x.data.shape[-1] != c_in:
         raise ShapeError(f"conv1d: input shape {x.data.shape} vs filters {filters.data.shape}")
     n = x.data.shape[1]
-    if padding == "same":
-        left = (w - 1) // 2
-        pad = (left, w - 1 - left)
-    else:
-        if n < w:
-            raise ShapeError(f"conv1d: input length {n} < filter width {w} with valid padding")
-        pad = (0, 0)
-    xp = np.pad(x.data, [(0, 0), pad, (0, 0)])
-    win = sliding_window_view(xp, w, axis=1)  # (b, m, c_in, w)
+    left = (w - 1) // 2
+    xp = np.pad(x.data, [(0, 0), (left, w - 1 - left), (0, 0)])
+    win = sliding_window_view(xp, w, axis=1)  # (b, n, c_in, w)
     out = np.tensordot(win, filters.data, axes=([3, 2], [0, 1]))
     out += bias.data
 
@@ -229,11 +220,10 @@ def conv1d(x: Tensor, filters: Tensor, bias: Tensor, padding: str = "same") -> T
             filters.accumulate(fg.transpose(1, 0, 2))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
-            m = g.shape[1]
             for j in range(w):
                 # gxp[:, t+j, i] += sum_o g[:, t, o] * filters[j, i, o]
-                gxp[:, j:j + m] += g @ filters.data[j].T
-            x.accumulate(gxp[:, pad[0]:pad[0] + n])
+                gxp[:, j:j + n] += g @ filters.data[j].T
+            x.accumulate(gxp[:, left:left + n])
 
     return _node(out, (x, filters, bias), backward)
 

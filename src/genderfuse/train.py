@@ -165,6 +165,8 @@ def _run_fold(fold: int, train_docs, train_labels, val_docs, val_labels,
               ckpt_path: str, pretrained=None) -> FoldResult:
     """Train one fold to the full epoch budget, keeping the best checkpoint.
 
+    A fold that aborts on a :class:`TrainingError` deletes its checkpoint.
+
     Deterministic given (seed, fold); independent of which other folds run.
     """
     init_seed, step_seed = np.random.SeedSequence([seed, fold]).generate_state(2)
@@ -193,6 +195,8 @@ def _run_fold(fold: int, train_docs, train_labels, val_docs, val_labels,
             log.debug("fold %d epoch %d: val acc %.4f", fold, epoch, acc)
     except TrainingError as exc:
         error = str(exc)
+        # the best-so-far checkpoint of an aborted fold must not vote in predict
+        Path(ckpt_path).unlink(missing_ok=True)
         log.warning("fold %d aborted: %s", fold, error)
     return FoldResult(fold=fold, checkpoint=None if error else str(ckpt_path),
                       val_trace=trace, best_epoch=best_epoch, error=error)
@@ -225,9 +229,11 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
     checkpoint are not retrained, and metadata recorded under any other
     settings or inputs is refused.  A fold that fails to
     produce a finite loss is reported with its partial trace and the error
-    message instead of aborting the whole run.  Each finished fold's best
-    checkpoint then scores the evaluation users once (the test corpus, else
-    the training corpus in sample) for its test accuracy and the vote.
+    message instead of aborting the whole run, and its partial checkpoint is
+    deleted.  The finished folds' best checkpoints then score the evaluation
+    users (the test corpus, else the training corpus in sample) in one
+    :func:`predict_probs` pass, as ``predict`` does, for each fold's test
+    accuracy and the vote.
     """
     folds = split_folds(corpus, k, seed)
     labels = gender_labels(corpus)
@@ -295,12 +301,12 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
             results[fr.fold] = fr
 
     finished = [i for i in range(k) if results[i].error is None]
-    all_probs = []
-    for i in finished:
-        params = load_params(workdir / f"fold{i}.gfus", expect_fingerprint=vocab.fingerprint())
-        all_probs.append(predict_probs([params], eval_docs)[0])
+    models = [load_params(workdir / f"fold{i}.gfus", expect_fingerprint=vocab.fingerprint())
+              for i in finished]
+    all_probs = predict_probs(models, eval_docs) if models else []
+    for i, probs in zip(finished, all_probs):
         if test_corpus is not None:
-            results[i] = replace(results[i], test_accuracy=_accuracy(all_probs[-1], eval_labels))
+            results[i] = replace(results[i], test_accuracy=_accuracy(probs, eval_labels))
         if i in pending:
             write_json(workdir / f"fold{i}.json", {**results[i].to_json(), **manifest})
     frs = [results[i] for i in range(k)]
@@ -308,7 +314,7 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
         return CVRun(frs, None, None)
     fold_accs = tuple(fr.test_accuracy if test_corpus is not None else max(fr.val_trace)
                       for fr in frs)
-    voted, preds = voted_predictions([d.user_id for d in eval_docs], np.stack(all_probs))
+    voted, preds = voted_predictions([d.user_id for d in eval_docs], all_probs)
     return CVRun(frs, AlgoSummary(fold_accs, float(np.mean(voted == eval_labels))), preds)
 
 
@@ -351,17 +357,12 @@ def predict_ensemble(checkpoints, docs,
     All members must share the architecture and the vocabulary fingerprint
     of the docs.
     """
-    models = [load_params(c) for c in checkpoints]
+    fp = docs[0].fingerprint if docs else None
+    models = [load_params(c, expect_fingerprint=fp) for c in checkpoints]
     if not models:
         raise CheckpointError("ensemble needs at least one model")
-    fp = docs[0].fingerprint if docs else models[0].fingerprint
-    for m in models:
-        if m.fingerprint != fp:
-            raise CheckpointError(
-                f"model vocab fingerprint {m.fingerprint} does not match "
-                f"the documents' vocabulary {fp}")
-        if m.arch != models[0].arch:
-            raise CheckpointError("ensemble members disagree on architecture")
+    if any(m.arch != models[0].arch for m in models):
+        raise CheckpointError("ensemble members disagree on architecture")
     return voted_predictions([d.user_id for d in docs], predict_probs(models, docs, batch_size))[1]
 
 

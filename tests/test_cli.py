@@ -18,11 +18,13 @@ from genderfuse.cli import (
     stats_config,
     tfidf_from_config,
 )
-from genderfuse.corpus import GenderPrediction, UserRecord, write_predictions_jsonl, write_users_jsonl
-from genderfuse.errors import ConfigError
-from genderfuse.model import ArchConfig
+from genderfuse.corpus import (GenderPrediction, UserRecord, gender_index, read_predictions_jsonl,
+                               read_users_jsonl, write_predictions_jsonl, write_users_jsonl)
+from genderfuse.errors import ConfigError, TrainingError
+from genderfuse.ioutil import write_json
+from genderfuse.model import ArchConfig, init_params, predict_probs, save_params
 from genderfuse.stats import AnalysisConfig
-from genderfuse.textpipe import build_doc
+from genderfuse.textpipe import build_doc, build_vocab
 from genderfuse.train import coverage, coverage_summary, train_cv
 
 
@@ -334,6 +336,70 @@ def test_predict_on_six_byte_checkpoint_is_data_error(tmp_path, users_file, trai
     assert "truncated header" in capsys.readouterr().err
 
 
+def _random_folds(workdir, users_file, k):
+    """k untrained fold models at distinct seeds, saved next to their vocab."""
+    users = read_users_jsonl(users_file)
+    vocab = build_vocab(users, min_word_freq=1)
+    write_json(workdir / "vocab.json", vocab.to_json())
+    arch = ArchConfig(variant="cnn", word_dim=4, word_filter_widths=(1,),
+                      word_filters_per_width=2, dense_units=2, dropout=0.0, batch_size=8)
+    models = [init_params(arch, vocab, seed=100 + i) for i in range(k)]
+    for i, m in enumerate(models):
+        save_params(m, workdir / f"fold{i}.gfus")
+    return models, [build_doc(u, vocab) for u in users]
+
+
+def test_predict_takes_folds_in_index_order(tmp_path, users_file):
+    # from 11 folds on, name order would put fold10 before fold2
+    models, docs = _random_folds(tmp_path, users_file, 12)
+    out = tmp_path / "p.jsonl"
+    assert main(["predict", "--workdir", str(tmp_path), "--users", str(users_file),
+                 "--out", str(out)]) == 0
+    preds = read_predictions_jsonl(out)
+    voted = [gender_index(p.voted_gender) for p in preds]
+    for i, m in enumerate(models):
+        probs = predict_probs([m], docs)[0]
+        assert [p.fold_probs[i] for p in preds] == [float(probs[n, v])
+                                                  for n, v in enumerate(voted)], i
+
+
+def test_predict_refuses_a_missing_fold(tmp_path, users_file, capsys):
+    _random_folds(tmp_path, users_file, 12)
+    (tmp_path / "fold5.gfus").unlink()
+    out = tmp_path / "p.jsonl"
+    assert main(["predict", "--workdir", str(tmp_path), "--users", str(users_file),
+                 "--out", str(out)]) == 2
+    assert "missing fold5.gfus of folds 0..11" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_fold_leaves_no_checkpoint_to_vote(tmp_path, users_file, monkeypatch, capsys):
+    import genderfuse.train as train_mod
+    real_step, steps = train_mod.train_step, []
+
+    def failing_step(*args, **kw):
+        # 16 training authors in batches of 8: step 3 is fold 0's second epoch
+        steps.append(None)
+        if len(steps) == 3:
+            raise TrainingError("injected non-finite loss")
+        return real_step(*args, **kw)
+
+    monkeypatch.setattr("genderfuse.train.train_step", failing_step)
+    work = tmp_path / "w"
+    assert main(train_args(users_file, work)) == 2
+    assert "fold 0 failed: injected" in capsys.readouterr().err
+    assert sorted(p.name for p in work.glob("fold*")) == [
+        "fold1.gfus", "fold1.json", "fold2.gfus", "fold2.json"]
+    out = tmp_path / "p.jsonl"
+    assert main(["predict", "--workdir", str(work), "--users", str(users_file),
+                 "--out", str(out)]) == 2
+    assert "missing fold0.gfus" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr("genderfuse.train.train_step", real_step)
+    assert main(train_args(users_file, work) + ["--resume"]) == 0
+    assert (work / "fold0.gfus").exists() and (work / "fold0.json").exists()
+
+
 def _copy_workdir(src, dst):
     dst.mkdir()
     for path in src.glob("*"):
@@ -514,18 +580,18 @@ def test_train_scores_each_fold_model_once(tmp_path, users_file, monkeypatch, he
         loads.append(args[0])
         return real_load(*args, **kw)
 
-    def counting_predict(params, docs, *args, **kw):
-        passes.append(len(docs))
-        return real_predict(params, docs, *args, **kw)
+    def counting_predict(models, docs, *args, **kw):
+        passes.append((len(models), len(docs)))
+        return real_predict(models, docs, *args, **kw)
 
     monkeypatch.setattr("genderfuse.train.load_params", counting_load)
     monkeypatch.setattr("genderfuse.train.predict_probs", counting_predict)
     extra = ["--test-users", str(users_file)] if held_out else []
     assert main(train_args(users_file, tmp_path) + extra) == 0
     # 3 folds of 2 epochs over 24 authors: 8 validation authors per epoch,
-    # then one pass of each best model over the 24 evaluation authors
+    # then one pass of the 3 best models together over the 24 evaluation authors
     assert len(loads) == 3
-    assert sorted(passes) == [8] * 6 + [24] * 3
+    assert passes == [(1, 8)] * 6 + [(3, 24)]
 
 
 def test_train_jobs_two_writes_the_bytes_of_jobs_one(tmp_path, users_file):
@@ -674,6 +740,16 @@ def test_import_pan_roundtrip(tmp_path, capsys):
     assert rows["alice"]["gender"] == "female"
     assert rows["alice"]["tweets"] == ["hello world", "second tweet"]
     assert rows["carol"]["gender"] is None
+
+
+def test_import_pan_missing_truth_file_is_data_error(tmp_path, capsys):
+    d = tmp_path / "pan"
+    d.mkdir()
+    (d / "a1.xml").write_text("<author><documents><document>hi</document></documents></author>")
+    truth, out = tmp_path / "no-such-truth.txt", tmp_path / "u.jsonl"
+    assert main(["import-pan", str(d), "--truth", str(truth), "--out", str(out)]) == 2
+    assert str(truth) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_import_pan_malformed_xml_is_data_error(tmp_path, capsys):

@@ -95,6 +95,7 @@ def test_import_pan_maps_fields(tmp_path):
 
 
 def test_import_pan_empty_dir(tmp_path):
+    (tmp_path / "truth.txt").write_text("", encoding="utf-8")
     corpus, warnings = import_pan(tmp_path, tmp_path / "truth.txt")
     assert corpus == []
     assert len(warnings) == 0

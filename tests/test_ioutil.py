@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from genderfuse.corpus import UserRecord
 from genderfuse.errors import CheckpointError
-from genderfuse.model import ArchConfig, init_params, load_params, save_params
+from genderfuse.model import CHECKPOINT_VERSION, ArchConfig, init_params, load_params, save_params
 from genderfuse.textpipe import build_vocab
 
 
@@ -34,12 +34,13 @@ def checkpoint(params, tmp_path_factory):
 def split(blob: bytes) -> tuple[dict, bytes]:
     """The JSON header and the payload of a checkpoint."""
     version, hlen = struct.unpack_from("<II", blob, 4)
-    assert blob[:4] == b"GFUS" and version == 1
+    assert blob[:4] == b"GFUS" and version == CHECKPOINT_VERSION
     return json.loads(blob[12:12 + hlen]), blob[12 + hlen:]
 
 
 def raw_file(path, header: bytes, payload: bytes = b"") -> None:
-    path.write_bytes(b"GFUS" + struct.pack("<II", 1, len(header)) + header + payload)
+    path.write_bytes(b"GFUS" + struct.pack("<II", CHECKPOINT_VERSION, len(header))
+                     + header + payload)
 
 
 def test_roundtrip_and_layout(params, checkpoint, tmp_path):

@@ -3,10 +3,14 @@
 A rename of a traced function would otherwise zero its per-layer metrics
 without failing anything, and a change of the document or batch shape
 would otherwise break the counters of a traced run.  Likewise a baseline
-that stopped calling its traced fit and transform would zero their metrics.
+that stopped calling its traced fit and transform would zero their metrics,
+and a conv whose filters moved from the second argument would lose its
+per-layer label.
 """
 
 from pathlib import Path
+
+import numpy as np
 
 import genderfuse.cli  # noqa: F401  (imports every module the tracer patches)
 from genderfuse import baseline, model, tensor, textpipe
@@ -70,3 +74,32 @@ def test_traced_baseline_counts_fits_and_transforms(monkeypatch):
         assert tr.counts["baseline.fit_tfidf.calls"] == k
         assert tr.counts["baseline.transform_docs.calls"] == transforms
         assert tr.counts["baseline.X_nnz"] > 0
+
+
+def test_traced_forward_labels_every_conv(monkeypatch):
+    # the per-layer conv metrics read the filter width from conv1d's args[1]
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    users = [UserRecord("a", "female", ["the cat sat on the mat"]),
+             UserRecord("b", "male", ["dogs run fast", "hello there"])]
+    vocab = textpipe.build_vocab(users, min_word_freq=1)
+    docs = [textpipe.build_doc(u, vocab) for u in users]
+    arch = model.ArchConfig(word_dim=4, char_dim=3, pos_dim=2, char_filters=2,
+                            word_filters_per_width=2, dense_units=2, dropout=0.0)
+    params = model.init_params(arch, vocab, seed=0)
+    runs = {
+        "train_step": lambda: model.train_step(params, model.make_batch(docs, [0, 1]),
+                                               tensor.Adam(params.trainable()),
+                                               np.random.default_rng(0)),
+        "predict_probs": lambda: model.predict_probs([params], docs),
+    }
+    for name, run in runs.items():
+        tr = tracing.Tracer()
+        restore, _ = tracing.install(tr)
+        try:
+            run()
+        finally:
+            restore()
+        for label in ("char", *(f"word{w}" for w in arch.word_filter_widths)):
+            assert tr.counts[f"tensor.conv1d.{label}.calls"] > 0, (name, label)

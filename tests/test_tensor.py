@@ -51,13 +51,12 @@ def weighted_sum(x: Tensor, rng) -> Tensor:
 # brute-force oracles (independent of the library code paths)
 # ---------------------------------------------------------------------------
 
-def conv1d_oracle(x, f, b, padding):
+def conv1d_oracle(x, f, b):
     w, c_in, c_out = f.shape
     n = x.shape[0]
-    offset = (w - 1) // 2 if padding == "same" else 0
-    m = n if padding == "same" else n - w + 1
-    out = np.zeros((m, c_out))
-    for t in range(m):
+    offset = (w - 1) // 2
+    out = np.zeros((n, c_out))
+    for t in range(n):
         for o in range(c_out):
             acc = b[o]
             for j in range(w):
@@ -77,25 +76,16 @@ def pool_oracle(x, valid_len):
 # conv1d
 # ---------------------------------------------------------------------------
 
-def test_conv_all_ones_valid():
-    x = t64(np.ones((1, 3, 2)))
-    f = t64(np.ones((3, 2, 1)))
-    out = conv1d(x, f, t64(np.zeros(1)), padding="valid")
-    assert out.data.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == pytest.approx(6.0)
-
-
 def test_conv_identity_filter_same():
     rng = np.random.default_rng(0)
     x = t64(rng.standard_normal((1, 6, 3)))
     f = np.zeros((3, 3, 3))
     f[1] = np.eye(3)  # unit impulse at j = offset, identity channel map
-    out = conv1d(x, t64(f), t64(np.zeros(3)), padding="same")
+    out = conv1d(x, t64(f), t64(np.zeros(3)))
     np.testing.assert_allclose(out.data, x.data, atol=1e-15)
 
 
-@pytest.mark.parametrize("padding", ["same", "valid"])
-def test_conv_matches_bruteforce_oracle(padding):
+def test_conv_matches_bruteforce_oracle():
     rng = np.random.default_rng(1)
     for _ in range(20):
         n = rng.integers(3, 9)
@@ -105,8 +95,8 @@ def test_conv_matches_bruteforce_oracle(padding):
         x = rng.standard_normal((n, c_in))
         f = rng.standard_normal((w, c_in, c_out))
         b = rng.standard_normal(c_out)
-        got = conv1d(t64(x[None]), t64(f), t64(b), padding=padding)
-        want = conv1d_oracle(x, f, b, padding)
+        got = conv1d(t64(x[None]), t64(f), t64(b))
+        want = conv1d_oracle(x, f, b)
         np.testing.assert_allclose(got.data[0], want, atol=1e-12)
 
 
@@ -115,16 +105,10 @@ def test_conv_batched_equals_per_row():
     x = rng.standard_normal((4, 7, 3))
     f = t64(rng.standard_normal((2, 3, 5)))
     b = t64(rng.standard_normal(5))
-    got = conv1d(t64(x), f, b, padding="same")
+    got = conv1d(t64(x), f, b)
     for r in range(4):
-        row = conv1d(t64(x[r:r + 1]), f, b, padding="same")
+        row = conv1d(t64(x[r:r + 1]), f, b)
         np.testing.assert_allclose(got.data[r], row.data[0], atol=1e-12)
-
-
-def test_conv_valid_too_short():
-    with pytest.raises(ShapeError, match="length 2"):
-        conv1d(t64(np.ones((1, 2, 1))), t64(np.ones((3, 1, 1))), t64(np.zeros(1)),
-               padding="valid")
 
 
 def test_kernels_reject_unbatched_input():
@@ -142,7 +126,7 @@ def test_conv_gradients():
     proj = np.random.default_rng(4)
 
     def loss():
-        return weighted_sum(conv1d(x, f, b, padding="same"), np.random.default_rng(9))
+        return weighted_sum(conv1d(x, f, b), np.random.default_rng(9))
 
     errors = grad_check(loss, {"x": x, "f": f, "b": b}, rng=proj)
     assert max(errors.values()) < 1e-4, errors
@@ -155,7 +139,7 @@ def test_conv_batched_gradients():
     b = t64(rng.standard_normal(4))
 
     def loss():
-        return weighted_sum(conv1d(x, f, b, padding="valid"), np.random.default_rng(11))
+        return weighted_sum(conv1d(x, f, b), np.random.default_rng(11))
 
     errors = grad_check(loss, {"x": x, "f": f, "b": b}, rng=np.random.default_rng(6))
     assert max(errors.values()) < 1e-4, errors
@@ -701,7 +685,7 @@ def test_backward_frees_interior_nodes_and_keeps_leaf_gradients():
         assert node.grad is None and node._backward is None and node._parents == ()
 
     def oracle_loss():
-        return sum(float(wts[r] @ pool_oracle(conv1d_oracle(x.data[r], f.data, b.data, "same"),
+        return sum(float(wts[r] @ pool_oracle(conv1d_oracle(x.data[r], f.data, b.data),
                                               lens[r]))
                    for r in range(2))
 
