@@ -338,6 +338,13 @@ def _cmd_predict(args) -> int:
     if missing:
         raise CheckpointError(f"{workdir}: missing {', '.join(missing)} of folds "
                               f"0..{max(found)}; retrain in this directory")
+    # train writes fold<i>.json once the fold is scored; a checkpoint without
+    # it is a best epoch so far of a run that did not finish
+    unrecorded = [f"fold{i}.json" for i in range(len(found))
+                  if not (workdir / f"fold{i}.json").exists()]
+    if unrecorded:
+        raise CheckpointError(f"{workdir}: missing {', '.join(unrecorded)}, so its train "
+                              "did not finish; rerun train with --resume")
     checkpoints = [found[i] for i in range(len(found))]
     users = read_users_jsonl(args.users)
     docs = [build_doc(u, vocab) for u in users]
@@ -519,7 +526,7 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_conv_oracle():
-    from .tensor import Tensor, conv1d
+    from .tensor import _conv_same
     rng = np.random.default_rng(0)
     for _ in range(20):
         n, c_in, c_out, w = (int(rng.integers(3, 7)), int(rng.integers(1, 4)),
@@ -527,7 +534,7 @@ def _check_conv_oracle():
         x = rng.standard_normal((n, c_in))
         f = rng.standard_normal((w, c_in, c_out))
         b = rng.standard_normal(c_out)
-        got = conv1d(Tensor(x[None]), Tensor(f), Tensor(b)).data[0]
+        got = _conv_same(x[None], f, b)[0]
         left = (w - 1) // 2
         want = np.zeros((n, c_out))
         for t in range(n):
@@ -538,19 +545,20 @@ def _check_conv_oracle():
                     if 0 <= src < n:
                         acc += x[src] @ f[j, :, o]
                 want[t, o] = acc
-        assert np.allclose(got, want, atol=1e-12), "conv1d disagrees with the loop"
+        assert np.allclose(got, want, atol=1e-12), "the conv kernel disagrees with the loop"
 
 
-def _check_max_over_time():
-    from .tensor import Tensor, max_over_time
+def _check_conv_pooling():
+    from .tensor import Tensor, conv1d
     rng = np.random.default_rng(1)
     for _ in range(20):
         b, n, c = 3, int(rng.integers(2, 8)), 4
         x = rng.standard_normal((b, n, c))
         lens = rng.integers(1, n + 1, size=b)
-        got = max_over_time(Tensor(x), lens).data
+        # a one-wide identity filter and zero bias pool x itself, exactly
+        got = conv1d(Tensor(x), Tensor(np.eye(c)[None]), Tensor(np.zeros(c)), lens).data
         want = np.stack([x[i, :lens[i]].max(axis=0) for i in range(b)])
-        assert np.array_equal(got, want), "max_over_time disagrees with the loop"
+        assert np.array_equal(got, want), "conv1d's pooling disagrees with the loop"
 
 
 def _check_chi2_tail():
@@ -612,8 +620,8 @@ def _check_tfidf_rows_unit_norm():
 
 
 SELFTEST_CHECKS = (
-    ("conv1d matches a nested-loop oracle", _check_conv_oracle),
-    ("max_over_time matches a masked-loop oracle", _check_max_over_time),
+    ("the conv kernel matches a nested-loop oracle", _check_conv_oracle),
+    ("conv1d max-pools like a masked-loop oracle", _check_conv_pooling),
     ("chi-square tail anchors and monotonicity", _check_chi2_tail),
     ("odds ratio unit, reciprocal, and scaling laws", _check_or_invariants),
     ("tweet normalization is idempotent", _check_normalize_idempotent),

@@ -3,9 +3,9 @@
 Variants: "cnn" (word embeddings only), "cnn_char" (word + per-token char
 summary), "cnn_char_pos" (word + char + POS).  Per token the active feature
 sources are concatenated, then Kim-style parallel convolutions (one per
-filter width, same padding), masked max-over-time, then ReLU (equal by
-monotonicity) produce a document vector, followed by dense, batch norm,
-ReLU, dropout, and a 2-way softmax output.  Labels: female = 0, male = 1.
+filter width, same padding), each max-pooled over the document's tokens,
+then ReLU (equal by monotonicity) produce a document vector, followed by
+dense, batch norm, ReLU, dropout, and a 2-way softmax output.  Labels: female = 0, male = 1.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .tensor import (
     dropout,
     embedding_lookup,
     l2_penalty,
-    max_over_time,
     mul_const,
     relu,
     reshape,
@@ -300,8 +299,7 @@ def _char_summaries(params: ModelParams, batch: Batch) -> Tensor:
         first, inverse = batch.char_rows
         rows, lens = rows[first], lens[first]
     emb = embedding_lookup(params.tensors["char_emb"], rows)
-    conv = conv1d(emb, params.tensors["char_conv_w"], params.tensors["char_conv_b"])
-    pooled = relu(max_over_time(conv, lens))
+    pooled = relu(conv1d(emb, params.tensors["char_conv_w"], params.tensors["char_conv_b"], lens))
     if per_type:
         pooled = Tensor(pooled.data[inverse])
     return reshape(pooled, (b, t, params.arch.char_filters))
@@ -334,11 +332,8 @@ def forward(params: ModelParams, batch: Batch, mode: str = "eval",
     fused = mul_const(fused, mask[:, :, None].astype(params.dtype))
     pooled = []
     for w in arch.word_filter_widths:
-        # inlined so no name holds a conv output past its max
-        pooled.append(relu(max_over_time(
-            conv1d(fused, params.tensors[f"word_conv_w{w}"],
-                   params.tensors[f"word_conv_b{w}"]),
-            batch.doc_lens)))
+        pooled.append(relu(conv1d(fused, params.tensors[f"word_conv_w{w}"],
+                                  params.tensors[f"word_conv_b{w}"], batch.doc_lens)))
     doc_vec = concat(pooled, axis=-1) if len(pooled) > 1 else pooled[0]
     h = dense(doc_vec, params.tensors["dense_w"], params.tensors["dense_b"])
     h = relu(batch_norm(h, params.tensors["bn_gamma"], params.tensors["bn_beta"],
@@ -374,8 +369,8 @@ def predict_probs(models, docs, batch_size: int | None = None) -> np.ndarray:
 
     Each batch is built once and every model runs on it before the next is
     built, so one batch is alive at a time.  The forward runs over views of
-    the parameters that need no gradient, so it records no tape, each conv
-    output is freed once its max is taken, and the char path runs over the
+    the parameters that need no gradient, so it records no tape, keeps no
+    argmax of a conv layer's max, and the char path runs over the
     batch's distinct char rows.  The batch size is the first model's unless
     given.
     """

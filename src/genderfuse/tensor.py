@@ -5,10 +5,10 @@ backward closure scatters gradients into its parents.  An op none of whose
 inputs requires a gradient records nothing, so a forward over plain tensors
 keeps no activation alive, and ``Tensor.backward`` frees each node as it
 sweeps.  Only the kernels the classifier needs are provided, each in the one
-form it uses: embedding lookup, 1-d convolution and dense layers with a
-bias, masked max-over-time pooling, batch norm (momentum and eps fixed),
-train-time inverted dropout, softmax cross-entropy and the L2 penalty.
-Adam uses the standard betas and eps; ``grad_check`` returns each tensor's
+form it uses: embedding lookup, 1-d convolution fused with masked
+max-over-time pooling, dense layers with a bias, batch norm (momentum and eps
+fixed), train-time inverted dropout, softmax cross-entropy and the L2
+penalty.  Adam uses the standard betas and eps; ``grad_check`` returns each tensor's
 worst finite-difference error and leaves the pass bound to its caller.
 
 Precision policy: tensors carry whatever float dtype their data has; training
@@ -195,68 +195,74 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # convolution and pooling
 # ---------------------------------------------------------------------------
 
-def conv1d(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
-    """1-d convolution over time with "same" (zero) padding.
+def _padded_windows(x: np.ndarray, w: int):
+    """Zero-padded copy of ``x`` (b, n, c) and its (b, n, c, w) window view."""
+    left = (w - 1) // 2
+    xp = np.pad(x, [(0, 0), (left, w - 1 - left), (0, 0)])
+    return xp, sliding_window_view(xp, w, axis=1)
+
+
+def _conv_same(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """1-d convolution over time with "same" (zero) padding, as plain arrays.
 
     ``x`` is (b, n, c_in); ``filters`` is (w, c_in, c_out).
     out[r, t, o] = bias[o] + sum_{j,i} x[r, t + j - offset, i] * filters[j, i, o]
     with offset = (w-1)//2, so the output keeps all n steps.
     """
+    _, win = _padded_windows(x, filters.shape[0])
+    out = np.tensordot(win, filters, axes=([3, 2], [0, 1]))
+    out += bias
+    return out
+
+
+def conv1d(x: Tensor, filters: Tensor, bias: Tensor, valid_len) -> Tensor:
+    """Same-padding convolution max-pooled over each row's first ``valid_len`` steps.
+
+    ``x`` is (b, n, c_in), ``filters`` (w, c_in, c_out) and ``valid_len`` a
+    length vector of shape (b,); the output is (b, c_out).  The (b, n, c_out)
+    convolution (:func:`_conv_same`) dies inside the op: when a gradient is
+    needed the forward keeps only each pooled value's argmax, the first valid
+    step equal to the max, and backward re-pads ``x``.
+    """
     w, c_in, c_out = filters.data.shape
     if x.data.ndim != 3 or x.data.shape[-1] != c_in:
         raise ShapeError(f"conv1d: input shape {x.data.shape} vs filters {filters.data.shape}")
-    n = x.data.shape[1]
-    left = (w - 1) // 2
-    xp = np.pad(x.data, [(0, 0), (left, w - 1 - left), (0, 0)])
-    win = sliding_window_view(xp, w, axis=1)  # (b, n, c_in, w)
-    out = np.tensordot(win, filters.data, axes=([3, 2], [0, 1]))
-    out += bias.data
+    b, n, _ = x.data.shape
+    lens = np.asarray(valid_len, dtype=np.int64)
+    if lens.shape != (b,):
+        raise ShapeError(f"conv1d: lengths shape {lens.shape} for batch {b}")
+    if lens.size and (lens.min() < 1 or lens.max() > n):
+        raise ShapeError(f"conv1d: valid_len must be in [1, {n}], got {lens.min()}..{lens.max()}")
+
+    conv = _conv_same(x.data, filters.data, bias.data)
+    valid = (np.arange(n) < lens[:, None])[:, :, None]  # (b, n, 1)
+    pooled = np.max(conv, axis=1, where=valid, initial=-np.inf)
+    if not (x.requires_grad or filters.requires_grad or bias.requires_grad):
+        return Tensor(pooled)
+    # a NaN max matches no step; train_step refuses its loss before backward
+    arg = ((conv == pooled[:, None, :]) & valid).argmax(axis=1)[:, None, :]
+    shape, dtype = conv.shape, conv.dtype
 
     def backward(g):
+        # g is added into zeros, not put, so a -0.0 in g lands as +0.0
+        gout = np.zeros(shape, dtype=dtype)
+        np.put_along_axis(gout, arg, np.take_along_axis(gout, arg, axis=1)
+                          + g[:, None, :], axis=1)
         if bias.requires_grad:
-            bias.accumulate(g.reshape(-1, c_out).sum(axis=0))
+            bias.accumulate(gout.reshape(-1, c_out).sum(axis=0))
+        xp, win = _padded_windows(x.data, w)
         if filters.requires_grad:
-            fg = np.tensordot(win, g, axes=([0, 1], [0, 1]))  # (c_in, w, c_out)
+            fg = np.tensordot(win, gout, axes=([0, 1], [0, 1]))  # (c_in, w, c_out)
             filters.accumulate(fg.transpose(1, 0, 2))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for j in range(w):
-                # gxp[:, t+j, i] += sum_o g[:, t, o] * filters[j, i, o]
-                gxp[:, j:j + n] += g @ filters.data[j].T
+                # gxp[:, t+j, i] += sum_o gout[:, t, o] * filters[j, i, o]
+                gxp[:, j:j + n] += gout @ filters.data[j].T
+            left = (w - 1) // 2
             x.accumulate(gxp[:, left:left + n])
 
-    return _node(out, (x, filters, bias), backward)
-
-
-def max_over_time(x: Tensor, valid_len) -> Tensor:
-    """Max over the time axis restricted to each row's first ``valid_len`` steps.
-
-    ``x`` is (b, n, c) and ``valid_len`` a length vector of shape (b,).  The
-    argmax is computed only in backward; ties route to the first step.
-    """
-    if x.data.ndim != 3:
-        raise ShapeError(f"max_over_time: expected (batch, time, channels), got {x.data.shape}")
-    b, n, _ = x.data.shape
-    lens = np.asarray(valid_len, dtype=np.int64)
-    if lens.shape != (b,):
-        raise ShapeError(f"max_over_time: lengths shape {lens.shape} for batch {b}")
-    if lens.size and (lens.min() < 1 or lens.max() > n):
-        raise ShapeError(f"max_over_time: valid_len must be in [1, {n}], got {lens.min()}..{lens.max()}")
-
-    valid = (np.arange(n) < lens[:, None])[:, :, None]  # (b, n, 1)
-    out = np.max(x.data, axis=1, where=valid, initial=-np.inf)
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        # first valid step equal to the max (train_step refuses a NaN max)
-        arg = ((x.data == out[:, None, :]) & valid).argmax(axis=1)[:, None, :]
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.put_along_axis(x.grad, arg, np.take_along_axis(x.grad, arg, axis=1)
-                          + g[:, None, :], axis=1)
-
-    return _node(out, (x,), backward)
+    return _node(pooled, (x, filters, bias), backward)
 
 
 # ---------------------------------------------------------------------------

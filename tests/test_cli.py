@@ -330,6 +330,7 @@ def test_predict_without_checkpoints_is_data_error(tmp_path, users_file):
 
 def test_predict_on_six_byte_checkpoint_is_data_error(tmp_path, users_file, trained, capsys):
     (tmp_path / "vocab.json").write_bytes((trained / "vocab.json").read_bytes())
+    (tmp_path / "fold0.json").write_bytes((trained / "fold0.json").read_bytes())
     (tmp_path / "fold0.gfus").write_bytes((trained / "fold0.gfus").read_bytes()[:6])
     assert main(["predict", "--workdir", str(tmp_path), "--users", str(users_file),
                  "--out", str(tmp_path / "p.jsonl")]) == 2
@@ -337,7 +338,11 @@ def test_predict_on_six_byte_checkpoint_is_data_error(tmp_path, users_file, trai
 
 
 def _random_folds(workdir, users_file, k):
-    """k untrained fold models at distinct seeds, saved next to their vocab."""
+    """k untrained fold models at distinct seeds, saved next to their vocab.
+
+    Each gets a ``fold<i>.json`` too, the record of a finished fold that
+    ``predict`` requires; it does not read what the record holds.
+    """
     users = read_users_jsonl(users_file)
     vocab = build_vocab(users, min_word_freq=1)
     write_json(workdir / "vocab.json", vocab.to_json())
@@ -346,6 +351,7 @@ def _random_folds(workdir, users_file, k):
     models = [init_params(arch, vocab, seed=100 + i) for i in range(k)]
     for i, m in enumerate(models):
         save_params(m, workdir / f"fold{i}.gfus")
+        write_json(workdir / f"fold{i}.json", {"fold": i})
     return models, [build_doc(u, vocab) for u in users]
 
 
@@ -370,6 +376,31 @@ def test_predict_refuses_a_missing_fold(tmp_path, users_file, capsys):
     assert main(["predict", "--workdir", str(tmp_path), "--users", str(users_file),
                  "--out", str(out)]) == 2
     assert "missing fold5.gfus of folds 0..11" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_refuses_a_checkpoint_of_an_interrupted_train(tmp_path, users_file,
+                                                              monkeypatch, capsys):
+    import genderfuse.train as train_mod
+    real_step, steps = train_mod.train_step, []
+
+    def interrupted_step(*args, **kw):
+        # 16 training authors in batches of 8: step 3 is fold 0's second epoch
+        steps.append(None)
+        if len(steps) == 3:
+            raise KeyboardInterrupt
+        return real_step(*args, **kw)
+
+    monkeypatch.setattr("genderfuse.train.train_step", interrupted_step)
+    work = tmp_path / "w"
+    with pytest.raises(KeyboardInterrupt):
+        main(train_args(users_file, work))
+    # fold 0's first epoch was its best so far, and nothing recorded it
+    assert sorted(p.name for p in work.iterdir()) == ["fold0.gfus", "vocab.json"]
+    out = tmp_path / "p.jsonl"
+    assert main(["predict", "--workdir", str(work), "--users", str(users_file),
+                 "--out", str(out)]) == 2
+    assert "missing fold0.json" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genderfuse.corpus import UserRecord, gender_index
-from genderfuse.errors import CheckpointError, ConfigError, ShapeError
+from genderfuse.errors import CheckpointError, ConfigError, ShapeError, TrainingError
 from genderfuse.model import (
     CHECKPOINT_VERSION,
     ArchConfig,
@@ -23,8 +23,8 @@ from genderfuse.model import (
     save_params,
     train_step,
 )
-from genderfuse.tensor import (Adam, Tensor, add, conv1d, embedding_lookup, grad_check,
-                               l2_penalty, max_over_time, relu, softmax_xent)
+from genderfuse.tensor import (Adam, Tensor, _conv_same, add, conv1d, embedding_lookup,
+                               grad_check, l2_penalty, softmax_xent)
 from genderfuse.textpipe import (MAX_DOC_TOKENS, MAX_TOKEN_CHARS, UNK_ID, build_doc,
                                  build_vocab, pos_tag, tokenize_tweets)
 
@@ -155,11 +155,15 @@ def test_read_embeddings(tmp_path):
 # ---------------------------------------------------------------------------
 
 def char_layer(params, char_ids) -> np.ndarray:
-    """Character summary of one token (conv, ReLU, max pool) as a batch of one."""
+    """Character summary of one token (conv, ReLU, max pool) as a batch of one.
+
+    It rectifies before the max, over the conv kernel's full output; the
+    model pools inside ``conv1d`` and rectifies after.
+    """
     ids = np.asarray(char_ids, dtype=np.int64)[None]
-    emb = embedding_lookup(params.tensors["char_emb"], ids)
-    conv = conv1d(emb, params.tensors["char_conv_w"], params.tensors["char_conv_b"])
-    return max_over_time(relu(conv), [ids.shape[1]]).data[0]
+    emb = params.tensors["char_emb"].data[ids]
+    conv = _conv_same(emb, params.tensors["char_conv_w"].data, params.tensors["char_conv_b"].data)
+    return np.maximum(conv, 0).max(axis=1)[0]
 
 
 def test_char_layer_output_shape_for_all_lengths(setup):
@@ -228,9 +232,9 @@ def test_eval_char_summaries_run_once_per_distinct_row(dtype, tol, monkeypatch):
     p = init_params(tiny_arch(), vocab, dtype=dtype, seed=8)
     conv_rows = []
 
-    def counting_conv(x, filters, bias):
+    def counting_conv(x, filters, bias, valid_len):
         conv_rows.append(x.shape[0])
-        return conv1d(x, filters, bias)
+        return conv1d(x, filters, bias, valid_len)
 
     monkeypatch.setattr(model, "conv1d", counting_conv)
     per_token = model._char_summaries(p, batch)
@@ -411,10 +415,10 @@ def test_forward_frees_embeddings_before_word_convs(setup, monkeypatch):
         lookups.append(weakref.ref(out.data))
         return out
 
-    def checking_conv(x, filters, bias):
+    def checking_conv(x, filters, bias, valid_len):
         if x.shape[-1] == p.arch.fused_dim:
             alive.append(sum(ref() is not None for ref in lookups))
-        return conv1d(x, filters, bias)
+        return conv1d(x, filters, bias, valid_len)
 
     monkeypatch.setattr(model, "embedding_lookup", tracking_lookup)
     monkeypatch.setattr(model, "conv1d", checking_conv)
@@ -541,8 +545,8 @@ def test_full_model_gradients(setup):
 # memory: what the tape keeps alive
 # ---------------------------------------------------------------------------
 
-def long_batch_setup():
-    """Three widths of 512 filters over four ~800-token docs.
+def long_batch_setup(n_docs: int = 4):
+    """Three widths of 512 filters over ``n_docs`` ~800-token docs.
 
     Returns (params, docs, batch, conv output bytes, fused input bytes).
     The fused input is only 24 channels wide, so the (b, n, filters) conv
@@ -552,12 +556,12 @@ def long_batch_setup():
     words = [f"w{i}" for i in range(50)]
     corpus = [UserRecord(f"u{i}", ("female", "male")[i % 2],
                          [" ".join(rng.choice(words, 20)) for _ in range(20)])
-              for i in range(4)]
+              for i in range(n_docs)]
     vocab = build_vocab(corpus, min_word_freq=1)
     docs = [build_doc(u, vocab) for u in corpus]
-    arch = tiny_arch(word_dim=16, pos_dim=4, word_filters_per_width=512, batch_size=4)
+    arch = tiny_arch(word_dim=16, pos_dim=4, word_filters_per_width=512, batch_size=n_docs)
     p = init_params(arch, vocab, seed=41)
-    batch = make_batch(docs, [i % 2 for i in range(4)])
+    batch = make_batch(docs, [i % 2 for i in range(n_docs)])
     cells = batch.word_ids.size
     return p, docs, batch, cells * 512 * 4, cells * arch.fused_dim * 4
 
@@ -586,19 +590,47 @@ def test_predict_keeps_one_conv_output_alive():
     assert peak < conv + im2col + 5 * fused, (peak, conv, fused)
 
 
-def test_train_step_frees_each_node_during_backward():
-    # Forward keeps all 3 conv outputs for the argmax of the pooling
-    # backward (3 conv sizes).  A sweep that frees each node as it goes
-    # adds one conv-output gradient at a time, plus the two bool masks of
-    # the argmax (1/4 conv size each): 4.5 conv sizes, and fused-size
-    # arrays well under one conv size here.  A sweep that keeps every
-    # gradient to its end also holds the first two widths' conv-output
-    # gradients when the third is pooled back, and a zero tensor added
-    # into the third: 7 conv sizes.  The bound, 6, sits between.
-    p, _, batch, conv, _ = long_batch_setup()
+def test_train_step_holds_one_conv_output_at_a_time():
+    # conv1d pools inside the op and keeps only the argmax and its input,
+    # so no (b, n, c_out) conv output outlives its op.  The forward holds
+    # one width's output with the two bool masks of its argmax (1/4 conv
+    # size each); the backward one width's rebuilt output gradient.  With
+    # fused-size arrays, that peaks near 1.75 conv sizes here.  A forward
+    # that keeps every conv output until backward pools it holds all 3 of
+    # them and peaks near 4.6.
+    p, _, batch, conv, _ = long_batch_setup(n_docs=8)
     opt = Adam(p.trainable(), lr=p.arch.lr)
     peak = traced_peak(lambda: train_step(p, batch, opt, np.random.default_rng(42)))
-    assert peak < 6 * conv, (peak, conv)
+    assert peak < 3 * conv, (peak, conv)
+
+
+@pytest.mark.parametrize("step", ["valid", "padded"])
+def test_train_step_refuses_a_nan_in_a_valid_conv_step_only(setup, monkeypatch, step):
+    # a NaN where a row's max is taken reaches the loss; one in a padded
+    # step is masked out of the max and its argmax alike
+    import genderfuse.tensor as tensor
+    _, vocab, docs, labels = setup
+    p = init_params(tiny_arch(), vocab, seed=43)
+    batch = make_batch(docs, labels)
+    short = int(np.argmin(batch.doc_lens))
+    n = batch.word_ids.shape[1]
+    assert batch.doc_lens[short] < n
+    conv_same = tensor._conv_same
+
+    def poisoned(x, filters, bias):
+        out = conv_same(x, filters, bias)
+        if x.shape[-1] == p.arch.fused_dim:     # the word convs, not the char conv
+            out[short, 0 if step == "valid" else n - 1] = np.nan
+        return out
+
+    monkeypatch.setattr(tensor, "_conv_same", poisoned)
+    opt = Adam(p.trainable(), lr=p.arch.lr)
+    if step == "valid":
+        with pytest.raises(TrainingError, match="non-finite loss"):
+            train_step(p, batch, opt, np.random.default_rng(44))
+    else:
+        assert np.isfinite(train_step(p, batch, opt, np.random.default_rng(44)))
+        assert all(np.isfinite(t.data).all() for t in p.tensors.values())
 
 
 # ---------------------------------------------------------------------------

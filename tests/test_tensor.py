@@ -10,6 +10,7 @@ from genderfuse.tensor import (
     Adam,
     BatchNormState,
     Tensor,
+    _conv_same,
     _node,
     add,
     batch_norm,
@@ -20,7 +21,6 @@ from genderfuse.tensor import (
     embedding_lookup,
     grad_check,
     l2_penalty,
-    max_over_time,
     mul_const,
     relu,
     reshape,
@@ -72,17 +72,28 @@ def pool_oracle(x, valid_len):
     return np.array([max(x[t, j] for t in range(valid_len)) for j in range(x.shape[1])])
 
 
+def pool(x: Tensor, valid_len) -> Tensor:
+    """conv1d with a one-wide identity filter and zero bias: the masked max of x itself.
+
+    Every product is x or zero and every sum adds zeros, so the pooled values
+    are exact (a -0.0 in x reads as +0.0 after the bias).
+    """
+    c, dtype = x.data.shape[-1], x.data.dtype
+    return conv1d(x, Tensor(np.eye(c, dtype=dtype)[None]), Tensor(np.zeros(c, dtype=dtype)),
+                  valid_len)
+
+
 # ---------------------------------------------------------------------------
-# conv1d
+# conv1d: the same-padding kernel, then the op that pools it
 # ---------------------------------------------------------------------------
 
 def test_conv_identity_filter_same():
     rng = np.random.default_rng(0)
-    x = t64(rng.standard_normal((1, 6, 3)))
+    x = rng.standard_normal((1, 6, 3))
     f = np.zeros((3, 3, 3))
     f[1] = np.eye(3)  # unit impulse at j = offset, identity channel map
-    out = conv1d(x, t64(f), t64(np.zeros(3)))
-    np.testing.assert_allclose(out.data, x.data, atol=1e-15)
+    out = _conv_same(x, f, np.zeros(3))
+    np.testing.assert_allclose(out, x, atol=1e-15)
 
 
 def test_conv_matches_bruteforce_oracle():
@@ -95,27 +106,30 @@ def test_conv_matches_bruteforce_oracle():
         x = rng.standard_normal((n, c_in))
         f = rng.standard_normal((w, c_in, c_out))
         b = rng.standard_normal(c_out)
-        got = conv1d(t64(x[None]), t64(f), t64(b))
+        got = _conv_same(x[None], f, b)
         want = conv1d_oracle(x, f, b)
-        np.testing.assert_allclose(got.data[0], want, atol=1e-12)
+        np.testing.assert_allclose(got[0], want, atol=1e-12)
 
 
 def test_conv_batched_equals_per_row():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((4, 7, 3))
-    f = t64(rng.standard_normal((2, 3, 5)))
-    b = t64(rng.standard_normal(5))
-    got = conv1d(t64(x), f, b)
+    f = rng.standard_normal((2, 3, 5))
+    b = rng.standard_normal(5)
+    lens = np.array([7, 1, 4, 6])
+    got = _conv_same(x, f, b)
+    pooled = conv1d(t64(x), t64(f), t64(b), lens)
     for r in range(4):
-        row = conv1d(t64(x[r:r + 1]), f, b)
-        np.testing.assert_allclose(got.data[r], row.data[0], atol=1e-12)
+        row = _conv_same(x[r:r + 1], f, b)
+        np.testing.assert_allclose(got[r], row[0], atol=1e-12)
+        np.testing.assert_allclose(pooled.data[r], pool_oracle(row[0], lens[r]), atol=1e-12)
 
 
 def test_kernels_reject_unbatched_input():
     with pytest.raises(ShapeError, match="input shape"):
-        conv1d(t64(np.ones((4, 2))), t64(np.ones((3, 2, 1))), t64(np.zeros(1)))
-    with pytest.raises(ShapeError, match="batch, time, channels"):
-        max_over_time(t64(np.ones((4, 2))), 4)
+        conv1d(t64(np.ones((4, 2))), t64(np.ones((3, 2, 1))), t64(np.zeros(1)), [4])
+    with pytest.raises(ShapeError, match="lengths shape"):
+        conv1d(t64(np.ones((1, 4, 2))), t64(np.ones((3, 2, 1))), t64(np.zeros(1)), 4)
 
 
 def test_conv_gradients():
@@ -126,7 +140,7 @@ def test_conv_gradients():
     proj = np.random.default_rng(4)
 
     def loss():
-        return weighted_sum(conv1d(x, f, b), np.random.default_rng(9))
+        return weighted_sum(conv1d(x, f, b, [5]), np.random.default_rng(9))
 
     errors = grad_check(loss, {"x": x, "f": f, "b": b}, rng=proj)
     assert max(errors.values()) < 1e-4, errors
@@ -139,7 +153,7 @@ def test_conv_batched_gradients():
     b = t64(rng.standard_normal(4))
 
     def loss():
-        return weighted_sum(conv1d(x, f, b), np.random.default_rng(11))
+        return weighted_sum(conv1d(x, f, b, [6, 2, 4]), np.random.default_rng(11))
 
     errors = grad_check(loss, {"x": x, "f": f, "b": b}, rng=np.random.default_rng(6))
     assert max(errors.values()) < 1e-4, errors
@@ -212,31 +226,33 @@ def test_embedding_id_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# max_over_time
+# conv1d's max over time, through a one-wide identity filter (``pool``)
 # ---------------------------------------------------------------------------
 
 def test_pool_example_and_single_row():
-    out = max_over_time(t64([[[1.0, 5.0], [3.0, 2.0]]]), [2])
+    out = pool(t64([[[1.0, 5.0], [3.0, 2.0]]]), [2])
     np.testing.assert_array_equal(out.data, [[3, 5]])
-    single = max_over_time(t64([[[7.0, -2.0]]]), [1])
+    single = pool(t64([[[7.0, -2.0]]]), [1])
     np.testing.assert_array_equal(single.data, [[7, -2]])
 
 
 def test_pool_respects_valid_len():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((6, 4))
-    out = max_over_time(t64(x[None]), [3])
+    out = pool(t64(x[None]), [3])
     np.testing.assert_allclose(out.data[0], pool_oracle(x, 3))
 
 
 def test_pool_zero_len_rejected():
     with pytest.raises(ShapeError, match="valid_len"):
-        max_over_time(t64(np.ones((1, 2, 2))), [0])
+        pool(t64(np.ones((1, 2, 2))), [0])
+    with pytest.raises(ShapeError, match="valid_len"):
+        pool(t64(np.ones((1, 2, 2))), [3])
 
 
 def test_pool_tie_routes_gradient_to_first_row():
     x = t64([[[2.0, 0.0], [2.0, 0.0]]])
-    tsum(max_over_time(x, [2])).backward()
+    tsum(pool(x, [2])).backward()
     np.testing.assert_array_equal(x.grad, [[[1, 1], [0, 0]]])
 
 
@@ -244,7 +260,7 @@ def test_pool_batched_matches_per_row():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((3, 5, 2))
     lens = np.array([5, 1, 3])
-    got = max_over_time(t64(x), lens)
+    got = pool(t64(x), lens)
     for r in range(3):
         np.testing.assert_allclose(got.data[r], pool_oracle(x[r], lens[r]))
 
@@ -255,7 +271,7 @@ def test_pool_gradients():
     lens = np.array([6, 2, 4])
 
     def loss():
-        return weighted_sum(max_over_time(x, lens), np.random.default_rng(17))
+        return weighted_sum(pool(x, lens), np.random.default_rng(17))
 
     errors = grad_check(loss, {"x": x}, rng=np.random.default_rng(12))
     assert max(errors.values()) < 1e-4, errors
@@ -298,13 +314,13 @@ def test_relu_after_pool_equals_pool_after_relu(dtype, data):
         loss.backward()
         return out.data, xt.grad
 
-    new, g_new = run(lambda xt: relu(max_over_time(xt, lens)))
-    old, g_old = run(lambda xt: max_over_time(relu(xt), lens))
+    new, g_new = run(lambda xt: relu(pool(xt, lens)))
+    old, g_old = run(lambda xt: pool(relu(xt), lens))
     assert new.dtype == old.dtype == dtype
     assert new.tobytes() == old.tobytes()
     assert np.array_equal(g_new, g_old)
     # signed zeros may differ, only where no valid step is positive
-    raw_max = max_over_time(Tensor(x), lens).data
+    raw_max = pool(Tensor(x), lens).data
     differs = np.signbit(g_new) != np.signbit(g_old)
     assert not (differs & (raw_max > 0)[:, None, :]).any()
     # and both route to the first maximal valid step
@@ -318,16 +334,28 @@ def test_relu_after_pool_equals_pool_after_relu(dtype, data):
 
 
 def test_pool_forward_allocates_no_masked_copy():
+    # the pooling, and in training its argmax, adds less than a tenth of
+    # the conv output to what the convolution alone allocates (its output
+    # and the padded input); a masked copy of the output would add a whole one
     rng = np.random.default_rng(23)
-    x = Tensor(rng.standard_normal((8, 500, 256)).astype(np.float32), requires_grad=True)
+    data = rng.standard_normal((8, 500, 256)).astype(np.float32)
     lens = np.array([500, 1, 37, 250, 499, 500, 3, 120])
-    tracemalloc.start()
-    try:
-        max_over_time(x, lens)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.1 * x.data.nbytes
+    eye, zero = np.eye(256, dtype=np.float32)[None], np.zeros(256, dtype=np.float32)
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    conv_only = traced_peak(lambda: _conv_same(data, eye, zero))
+    f, b = Tensor(eye), Tensor(zero)
+    for grad in (False, True):
+        x = Tensor(data, requires_grad=grad)
+        peak = traced_peak(lambda: conv1d(x, f, b, lens))
+        assert peak < conv_only + 0.1 * data.nbytes, (grad, peak, conv_only)
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +705,10 @@ def test_backward_frees_interior_nodes_and_keeps_leaf_gradients():
     b = t64(rng.standard_normal(4))
     lens = np.array([5, 3])
     wts = rng.standard_normal((2, 4))
-    conv = conv1d(x, f, b)
-    pool = max_over_time(conv, lens)
-    loss = tsum(mul_const(pool, wts))
+    pooled = conv1d(x, f, b, lens)
+    loss = tsum(mul_const(pooled, wts))
     loss.backward()
-    for node in (conv, pool, loss):
+    for node in (pooled, loss):
         assert node.grad is None and node._backward is None and node._parents == ()
 
     def oracle_loss():
