@@ -222,7 +222,7 @@ def conv1d(x: Tensor, filters: Tensor, bias: Tensor, valid_len) -> Tensor:
     length vector of shape (b,); the output is (b, c_out).  The (b, n, c_out)
     convolution (:func:`_conv_same`) dies inside the op: when a gradient is
     needed the forward keeps only each pooled value's argmax, the first valid
-    step equal to the max, and backward re-pads ``x``.
+    step equal to the max, and backward re-pads ``x`` for the filter gradient.
     """
     w, c_in, c_out = filters.data.shape
     if x.data.ndim != 3 or x.data.shape[-1] != c_in:
@@ -250,12 +250,13 @@ def conv1d(x: Tensor, filters: Tensor, bias: Tensor, valid_len) -> Tensor:
                           + g[:, None, :], axis=1)
         if bias.requires_grad:
             bias.accumulate(gout.reshape(-1, c_out).sum(axis=0))
-        xp, win = _padded_windows(x.data, w)
         if filters.requires_grad:
+            _, win = _padded_windows(x.data, w)
             fg = np.tensordot(win, gout, axes=([0, 1], [0, 1]))  # (c_in, w, c_out)
             filters.accumulate(fg.transpose(1, 0, 2))
+            del win
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((b, n + w - 1, c_in), dtype=x.data.dtype)
             for j in range(w):
                 # gxp[:, t+j, i] += sum_o gout[:, t, o] * filters[j, i, o]
                 gxp[:, j:j + n] += gout @ filters.data[j].T
