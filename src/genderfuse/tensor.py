@@ -215,14 +215,69 @@ def _conv_same(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarr
     return out
 
 
+# A row block of conv1d's forward holds at most this many bytes of conv
+# output and im2col copy (a longer row than that runs alone).
+CONV_BLOCK_BYTES = 16 << 20
+
+
+def _row_blocks(lens: np.ndarray, n: int, right: int, step_bytes: int):
+    """conv1d's forward blocks as ``(rows, steps)`` pairs.
+
+    ``steps`` cuts a block to its longest row plus the filter's ``right``
+    halo, so every valid step reads what it reads in the uncut batch.  A
+    batch that fits ``CONV_BLOCK_BYTES`` is one block of all rows in order
+    (``rows`` is ``slice(None)``); otherwise rows go longest first, in
+    greedy blocks of as many rows as the budget holds at the first row's
+    steps, at least one.
+    """
+    steps = min(n, int(lens.max(initial=0)) + right)
+    if lens.size * steps * step_bytes <= CONV_BLOCK_BYTES:
+        yield slice(None), steps
+        return
+    order = np.argsort(-lens, kind="stable")
+    lo = 0
+    while lo < order.size:
+        steps = min(n, int(lens[order[lo]]) + right)
+        hi = lo + max(1, CONV_BLOCK_BYTES // (steps * step_bytes))
+        yield order[lo:hi], steps
+        lo = hi
+
+
+def _pool_conv(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, lens: np.ndarray,
+               want_arg: bool):
+    """Max of ``_conv_same(x, filters, bias)`` over each row's first ``lens`` steps.
+
+    Returns the (b, c_out) max and, if ``want_arg``, the (b, c_out) first
+    valid step equal to it (else None).  Both are computed block by block
+    (:func:`_row_blocks`), so only one block's output is ever alive; each
+    output element is the same dot product as over the whole batch.
+    """
+    w, c_in, c_out = filters.shape
+    dtype = np.result_type(x, filters)
+    pooled = np.empty((x.shape[0], c_out), dtype=dtype)
+    arg = np.empty((x.shape[0], c_out), dtype=np.intp) if want_arg else None
+    right = w - 1 - (w - 1) // 2
+    for rows, steps in _row_blocks(lens, x.shape[1], right, (c_out + w * c_in) * dtype.itemsize):
+        conv = _conv_same(x[rows, :steps], filters, bias)
+        valid = (np.arange(steps) < lens[rows, None])[:, :, None]  # (rows, steps, 1)
+        top = np.max(conv, axis=1, where=valid, initial=-np.inf)
+        pooled[rows] = top
+        if want_arg:
+            # a NaN max matches no step; train_step refuses its loss before backward
+            arg[rows] = ((conv == top[:, None, :]) & valid).argmax(axis=1)
+        del conv  # so the next block's output replaces this one, not joins it
+    return pooled, arg
+
+
 def conv1d(x: Tensor, filters: Tensor, bias: Tensor, valid_len) -> Tensor:
     """Same-padding convolution max-pooled over each row's first ``valid_len`` steps.
 
     ``x`` is (b, n, c_in), ``filters`` (w, c_in, c_out) and ``valid_len`` a
-    length vector of shape (b,); the output is (b, c_out).  The (b, n, c_out)
-    convolution (:func:`_conv_same`) dies inside the op: when a gradient is
-    needed the forward keeps only each pooled value's argmax, the first valid
-    step equal to the max, and backward re-pads ``x`` for the filter gradient.
+    length vector of shape (b,); the output is (b, c_out).  The forward
+    (:func:`_pool_conv`) runs in row blocks, so no (b, n, c_out) convolution
+    exists: when a gradient is needed it keeps only each pooled value's
+    argmax, the first valid step equal to the max, and backward rebuilds the
+    output gradient and re-pads ``x`` for the filter gradient.
     """
     w, c_in, c_out = filters.data.shape
     if x.data.ndim != 3 or x.data.shape[-1] != c_in:
@@ -234,14 +289,12 @@ def conv1d(x: Tensor, filters: Tensor, bias: Tensor, valid_len) -> Tensor:
     if lens.size and (lens.min() < 1 or lens.max() > n):
         raise ShapeError(f"conv1d: valid_len must be in [1, {n}], got {lens.min()}..{lens.max()}")
 
-    conv = _conv_same(x.data, filters.data, bias.data)
-    valid = (np.arange(n) < lens[:, None])[:, :, None]  # (b, n, 1)
-    pooled = np.max(conv, axis=1, where=valid, initial=-np.inf)
-    if not (x.requires_grad or filters.requires_grad or bias.requires_grad):
+    want_arg = x.requires_grad or filters.requires_grad or bias.requires_grad
+    pooled, arg = _pool_conv(x.data, filters.data, bias.data, lens, want_arg)
+    if not want_arg:
         return Tensor(pooled)
-    # a NaN max matches no step; train_step refuses its loss before backward
-    arg = ((conv == pooled[:, None, :]) & valid).argmax(axis=1)[:, None, :]
-    shape, dtype = conv.shape, conv.dtype
+    arg = arg[:, None, :]
+    shape, dtype = (b, n, c_out), pooled.dtype
 
     def backward(g):
         # g is added into zeros, not put, so a -0.0 in g lands as +0.0

@@ -590,18 +590,93 @@ def test_predict_keeps_one_conv_output_alive():
     assert peak < conv + im2col + 5 * fused, (peak, conv, fused)
 
 
+def test_predict_peak_is_one_conv_block_and_stays_flat_as_the_batch_grows(monkeypatch):
+    # With a budget below one 800-step row, conv1d runs one row at a time:
+    # the widest width's block is one row's output and im2col copy, 800 x
+    # (512 + 3*24) float32 = 1.9 MB.  Beside it are fused-size arrays only
+    # (2.6 of them at 4 docs, 2.2 at 16; 4 allowed).  Doubling the docs
+    # doubles those and adds no conv output: the peak grows by ~2.1 of the
+    # smaller batch's fused sizes (4 allowed).  With whole-batch convs it
+    # grows by at least the smaller batch's conv output, 21.3 fused sizes
+    # (27 measured).
+    import genderfuse.tensor as tensor
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 1 << 20)
+    peaks = {}
+    for n_docs in (4, 8, 16):
+        p, docs, batch, _, fused = long_batch_setup(n_docs)
+        block = batch.word_ids.shape[1] * (512 + 3 * p.arch.fused_dim) * 4
+        peaks[n_docs] = traced_peak(lambda: predict_probs([p], docs)), fused
+        assert peaks[n_docs][0] < block + 4 * fused, (n_docs, peaks[n_docs], block)
+    for small, large in ((4, 8), (8, 16)):
+        grown = peaks[large][0] - peaks[small][0]
+        assert grown < 4 * peaks[small][1], (small, large, grown, peaks[small][1])
+
+
+def test_conv_blocks_skip_the_padding_of_longer_rows(monkeypatch):
+    # heavy-tailed docs: each word conv convolves each block's rows up to
+    # the block's longest row plus the right halo, far fewer steps than
+    # b x n; blocks take rows longest first, as many as two 800-step rows'
+    # budget holds at the block's first row
+    import genderfuse.tensor as tensor
+    p, docs, _, _, _ = long_batch_setup(8)
+    cut = [800, 13, 400, 3, 100, 7, 50, 25]
+    docs = [replace(d, tokens=d.tokens[:k], word_ids=d.word_ids[:k], pos_ids=d.pos_ids[:k],
+                    char_ids=d.char_ids[:k]) for d, k in zip(docs, cut)]
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 2 * 800 * (512 + 3 * p.arch.fused_dim) * 4)
+    blocks = {}   # width -> [(rows, steps)] of its word conv calls
+    conv_same = tensor._conv_same
+
+    def recording(x, filters, bias):
+        if x.shape[-1] == p.arch.fused_dim:     # the word convs, not the char conv
+            blocks.setdefault(filters.shape[0], []).append(x.shape[:2])
+        return conv_same(x, filters, bias)
+
+    monkeypatch.setattr(tensor, "_conv_same", recording)
+    predict_probs([p], docs)
+    lens = sorted(cut, reverse=True)
+    b, n = len(cut), max(cut)
+    assert sorted(blocks) == [1, 2, 3]
+    for w, calls in blocks.items():
+        right = w - 1 - (w - 1) // 2
+        bound, lo = 0, 0
+        for rows, _ in calls:
+            bound += rows * min(n, lens[lo] + right)
+            lo += rows
+        assert lo == b and len(calls) > 1, (w, calls)
+        total = sum(rows * steps for rows, steps in calls)
+        assert total <= bound < b * n / 2, (w, total, bound)
+
+
 def test_train_step_holds_one_conv_output_at_a_time():
     # conv1d pools inside the op and keeps only the argmax and its input,
-    # so no (b, n, c_out) conv output outlives its op.  The forward holds
-    # one width's output with the two bool masks of its argmax (1/4 conv
-    # size each); the backward one width's rebuilt output gradient.  With
-    # fused-size arrays, that peaks near 1.75 conv sizes here.  A forward
-    # that keeps every conv output until backward pools it holds all 3 of
-    # them and peaks near 4.6.
+    # so no (b, n, c_out) conv output outlives its op.  Here the batch fits
+    # one block (15 MB of output and im2col): the forward holds one width's
+    # output with the two bool masks of its argmax (1/4 conv size each);
+    # the backward one width's rebuilt output gradient.  With fused-size
+    # arrays, that peaks near 1.75 conv sizes here.  A forward that keeps
+    # every conv output until backward pools it holds all 3 of them and
+    # peaks near 4.6.
     p, _, batch, conv, _ = long_batch_setup(n_docs=8)
     opt = Adam(p.trainable(), lr=p.arch.lr)
     peak = traced_peak(lambda: train_step(p, batch, opt, np.random.default_rng(42)))
     assert peak < 3 * conv, (peak, conv)
+
+
+def test_train_step_peak_is_the_backward_gradient_under_small_blocks(monkeypatch):
+    # A budget of 1/8 conv output runs each forward conv one 800-step row
+    # at a time (1.9 MB, 0.14 conv).  The peak is then the backward's: one
+    # width's rebuilt (b, n, c_out) output gradient (1 conv) beside the
+    # tape's fused-size arrays (5.4 of them when the widest width's filter
+    # gradient starts, a fused size being conv / 21.3 here), that
+    # gradient's padded copy and im2col (4 more) and smaller temporaries:
+    # 1.50 conv measured.  A forward that convolves the whole batch holds
+    # a whole conv output with its two bool argmax masks and peaks at 1.75.
+    import genderfuse.tensor as tensor
+    p, _, batch, conv, _ = long_batch_setup(n_docs=8)
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", conv // 8)
+    opt = Adam(p.trainable(), lr=p.arch.lr)
+    peak = traced_peak(lambda: train_step(p, batch, opt, np.random.default_rng(42)))
+    assert peak < 1.6 * conv, (peak / conv, conv)
 
 
 @pytest.mark.parametrize("step", ["valid", "padded"])

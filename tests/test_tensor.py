@@ -12,6 +12,7 @@ from genderfuse.tensor import (
     Tensor,
     _conv_same,
     _node,
+    _pool_conv,
     add,
     batch_norm,
     concat,
@@ -157,6 +158,141 @@ def test_conv_batched_gradients():
 
     errors = grad_check(loss, {"x": x, "f": f, "b": b}, rng=np.random.default_rng(6))
     assert max(errors.values()) < 1e-4, errors
+
+
+# ---------------------------------------------------------------------------
+# conv1d's row blocks: a small CONV_BLOCK_BYTES forces many of them
+# ---------------------------------------------------------------------------
+
+# a short row after long ones, lengths 1 and n; every x value is nonzero,
+# so a block cut without its right halo changes a valid step's sum
+BLOCK_LENS = np.array([9, 2, 9, 1, 6, 8, 3, 5])
+BLOCK_N, BLOCK_C_IN, BLOCK_C_OUT = 9, 3, 4
+
+
+def block_budget(w: int, rows: int) -> int:
+    """A budget of ``rows`` full-length float64 rows at width ``w`` (0 rows: 1 byte)."""
+    return max(1, rows * BLOCK_N * (BLOCK_C_OUT + w * BLOCK_C_IN) * 8)
+
+
+def block_inputs(w: int, seed: int = 30):
+    rng = np.random.default_rng([seed, w])
+    x = rng.standard_normal((len(BLOCK_LENS), BLOCK_N, BLOCK_C_IN))
+    return x, rng.standard_normal((w, BLOCK_C_IN, BLOCK_C_OUT)), rng.standard_normal(BLOCK_C_OUT)
+
+
+def first_max_steps(conv) -> list:
+    """Per column of a (steps, c) array, the first step holding its max."""
+    return [list(col).index(col.max()) for col in conv.T]
+
+
+def record_conv_calls(monkeypatch) -> list:
+    """Wrap ``tensor._conv_same`` to record the input of each call."""
+    import genderfuse.tensor as tensor_mod
+    calls = []
+
+    def recording(x, filters, bias):
+        calls.append(x)
+        return _conv_same(x, filters, bias)
+
+    monkeypatch.setattr(tensor_mod, "_conv_same", recording)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 3])
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_conv1d_blocks_match_loop_oracles(monkeypatch, w, rows):
+    import genderfuse.tensor as tensor_mod
+    monkeypatch.setattr(tensor_mod, "CONV_BLOCK_BYTES", block_budget(w, rows))
+    calls = record_conv_calls(monkeypatch)
+    x, f, b = block_inputs(w)
+    pooled, arg = _pool_conv(x, f, b, BLOCK_LENS, True)
+    assert len(calls) > 1
+    for r, n_valid in enumerate(BLOCK_LENS):
+        conv = conv1d_oracle(x[r], f, b)[:n_valid]
+        np.testing.assert_allclose(pooled[r], conv.max(axis=0), rtol=0, atol=1e-12)
+        assert list(arg[r]) == first_max_steps(conv), r
+    # conv1d returns the same max, and with no gradient computes no argmax
+    np.testing.assert_array_equal(conv1d(Tensor(x), Tensor(f), Tensor(b), BLOCK_LENS).data,
+                                  pooled)
+    assert _pool_conv(x, f, b, BLOCK_LENS, False)[1] is None
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_conv1d_blocks_gradients(monkeypatch, w):
+    import genderfuse.tensor as tensor_mod
+    monkeypatch.setattr(tensor_mod, "CONV_BLOCK_BYTES", block_budget(w, 2))
+    calls = record_conv_calls(monkeypatch)
+    xd, fd, bd = block_inputs(w, seed=31)
+    x, f, b = t64(xd), t64(fd), t64(bd)
+
+    def loss():
+        return weighted_sum(conv1d(x, f, b, BLOCK_LENS), np.random.default_rng(19))
+
+    loss()
+    assert len(calls) > 1
+    errors = grad_check(loss, {"x": x, "f": f, "b": b}, samples_per_tensor=0,
+                        rng=np.random.default_rng(20))
+    assert max(errors.values()) < 1e-4, errors
+
+
+@pytest.mark.parametrize("rows", [0, 2, 3])
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_conv1d_blocks_take_rows_longest_first_cut_to_their_halo(monkeypatch, w, rows):
+    import genderfuse.tensor as tensor_mod
+    monkeypatch.setattr(tensor_mod, "CONV_BLOCK_BYTES", block_budget(w, rows))
+    calls = record_conv_calls(monkeypatch)
+    x, f, b = block_inputs(w)
+    _pool_conv(x, f, b, BLOCK_LENS, True)
+    right = w - 1 - (w - 1) // 2
+    order = np.argsort(-BLOCK_LENS, kind="stable")
+    lo = 0
+    for block in calls:
+        k, steps = block.shape[:2]
+        assert steps == min(BLOCK_N, BLOCK_LENS[order[lo]] + right)
+        np.testing.assert_array_equal(block, x[order[lo:lo + k], :steps])
+        fit = block_budget(w, rows) // (steps * (BLOCK_C_OUT + w * BLOCK_C_IN) * 8)
+        assert k == min(max(1, fit), len(BLOCK_LENS) - lo)
+        lo += k
+    assert lo == len(BLOCK_LENS)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_conv1d_one_block_is_a_view_of_the_input(monkeypatch, w):
+    # the whole batch fits the budget: x's own rows, in order, cut to the
+    # longest row plus the right halo, and not copied
+    calls = record_conv_calls(monkeypatch)
+    x, f, b = block_inputs(w)
+    lens = np.minimum(BLOCK_LENS, BLOCK_N - 3)
+    _pool_conv(x, f, b, lens, True)
+    assert len(calls) == 1
+    right = w - 1 - (w - 1) // 2
+    assert calls[0].shape == (len(lens), lens.max() + right, BLOCK_C_IN)
+    assert np.shares_memory(calls[0], x)
+    np.testing.assert_array_equal(calls[0], x[:, :lens.max() + right])
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_conv1d_blocks_mask_a_nan_past_a_short_row(monkeypatch, w):
+    # row 5 (length 2) shares its block with row 4 (length 5), so the block
+    # runs past row 5's valid steps; a NaN that only those steps read stays
+    # out of its max and its argmax, and a NaN in a valid step reaches the max
+    import genderfuse.tensor as tensor_mod
+    lens = np.array([9, 9, 8, 6, 5, 2, 1])
+    monkeypatch.setattr(tensor_mod, "CONV_BLOCK_BYTES", block_budget(w, 2))
+    calls = record_conv_calls(monkeypatch)
+    x, f, b = block_inputs(w)
+    x = x[:len(lens)]
+    right = w - 1 - (w - 1) // 2
+    x[5, 2 + right] = np.nan        # read only by row 5's steps from 2 on
+    x[3, 0] = np.nan                # read by row 3's step 0
+    pooled, arg = _pool_conv(x, f, b, lens, True)
+    assert any(c.shape[0] > 1 and c.shape[1] > 2 + right and np.isnan(c).any() for c in calls)
+    conv = conv1d_oracle(x[5], f, b)[:2]
+    np.testing.assert_allclose(pooled[5], conv.max(axis=0), rtol=0, atol=1e-12)
+    assert list(arg[5]) == first_max_steps(conv)
+    assert np.isnan(pooled[3]).all()
+    assert np.isfinite(np.delete(pooled, 3, axis=0)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -333,38 +469,65 @@ def test_relu_after_pool_equals_pool_after_relu(dtype, data):
     assert np.array_equal(g_new, want if v is None else v + want)
 
 
-def test_pool_forward_allocates_no_masked_copy(monkeypatch):
-    # what conv1d allocates after the convolution returns: the pooling adds
-    # less than a tenth of the input, and in training the argmax adds only
-    # its two bool masks (a quarter each); a masked float copy would add 1x
+def assert_pooling_adds_no_masked_copy(monkeypatch, c_in: int, blocks: int) -> None:
+    """Bound what conv1d allocates after each block's convolution returns.
+
+    Until the next block's convolution starts, the pooling adds less than a
+    tenth of the block's output, and in training the argmax adds only its
+    two bool masks (a quarter each); a masked float copy would add 1x.  The
+    rows have lengths 500, 1, 37, 250, 499, 500, 3, 120 and go through a
+    one-wide (c_in -> 256) identity filter.
+    """
     import genderfuse.tensor as tensor_mod
 
     rng = np.random.default_rng(23)
-    data = rng.standard_normal((8, 500, 256)).astype(np.float32)
+    data = rng.standard_normal((8, 500, c_in)).astype(np.float32)
     lens = np.array([500, 1, 37, 250, 499, 500, 3, 120])
-    f = Tensor(np.eye(256, dtype=np.float32)[None])
+    f = Tensor(np.eye(c_in, 256, dtype=np.float32)[None])
     b = Tensor(np.zeros(256, dtype=np.float32))
-    after_conv = []
+    segments = []   # [conv output bytes, current bytes after it returned, peak after]
+
+    def close_segment():
+        if segments:
+            segments[-1][2] = tracemalloc.get_traced_memory()[1]
 
     def conv_then_reset(*args):
+        close_segment()
         out = _conv_same(*args)
         tracemalloc.reset_peak()
-        after_conv.append(tracemalloc.get_traced_memory()[0])
+        segments.append([out.nbytes, tracemalloc.get_traced_memory()[0], None])
         return out
 
     monkeypatch.setattr(tensor_mod, "_conv_same", conv_then_reset)
     for grad, masks in ((False, 0.0), (True, 0.5)):
         x = Tensor(data, requires_grad=grad)
-        after_conv.clear()
+        segments.clear()
         tracemalloc.start()
         try:
             conv1d(x, f, b, lens)
-            peak = tracemalloc.get_traced_memory()[1]
+            close_segment()
         finally:
             tracemalloc.stop()
-        assert len(after_conv) == 1
-        added = peak - after_conv[0]
-        assert added < (masks + 0.1) * data.nbytes, (grad, added / data.nbytes)
+        assert len(segments) == blocks
+        for out_bytes, after_conv, peak in segments:
+            added = peak - after_conv
+            assert added < (masks + 0.1) * out_bytes, (grad, added / out_bytes)
+
+
+def test_pool_forward_allocates_no_masked_copy(monkeypatch):
+    # the whole batch is one block, a view of the input
+    assert_pooling_adds_no_masked_copy(monkeypatch, c_in=256, blocks=1)
+
+
+def test_pool_forward_allocates_no_masked_copy_in_any_block(monkeypatch):
+    # a budget of two 500-step rows makes three blocks: rows of lengths
+    # 500, 500 | 499, 250 | 120, 37, 3, 1.  Each block's rows are a copy
+    # that dies once its convolution returns, and that freeing would hide
+    # a masked copy of the same size, so the input is 16 channels wide,
+    # 1/16 of the output.
+    import genderfuse.tensor as tensor_mod
+    monkeypatch.setattr(tensor_mod, "CONV_BLOCK_BYTES", 2 * 500 * (256 + 16) * 4)
+    assert_pooling_adds_no_masked_copy(monkeypatch, c_in=16, blocks=3)
 
 
 # ---------------------------------------------------------------------------
