@@ -5,8 +5,9 @@
 import numpy as np
 
 from genderfuse.baseline import (TfidfConfig, baseline_cv, count_ngrams, fit_linear,
-                                 fit_tfidf, transform_docs, user_tokens)
+                                 fit_tfidf, transform_docs)
 from genderfuse.synth import MARKER_WORDS, SynthSpec, gen_gender_corpus
+from genderfuse.textpipe import user_tokens
 from genderfuse.train import EnsembleReport
 
 corpus = gen_gender_corpus(SynthSpec(users_per_class=80, tweets_per_user=15,

@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from .corpus import GenderPrediction, gender_labels, split_folds
 from .errors import BaselineError
-from .textpipe import tokenize_tweets
+from .textpipe import user_tokens
 from .train import AlgoSummary, _accuracy, voted_predictions
 
 _ALGO_LOSS = {"LR": "logistic", "SVM": "hinge"}
@@ -246,11 +246,6 @@ def fit_linear(X, y, loss: str = "logistic", lam: float = 1e-4, *,
 # ---------------------------------------------------------------------------
 # cross-validation protocol
 # ---------------------------------------------------------------------------
-
-def user_tokens(user) -> list:
-    """Flat normalized token stream of all tweets of one user."""
-    return [t for toks in tokenize_tweets(user.tweets) for t in toks]
-
 
 def baseline_cv(corpus, algo: str = "LR", *, k: int = 5, seed: int = 0,
                 test_corpus=None, tfidf_config: TfidfConfig | None = None,

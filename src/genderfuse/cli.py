@@ -53,7 +53,7 @@ from .stats import AnalysisConfig, ConstructTable, chi2_tail, emit_figure2, odds
 from .stats import analyze as run_analysis
 from .synth import DEFAULT_RATES, SIGNALS, SynthSpec, gen_gender_corpus, gen_labeled_tweets
 from .tensor import add, grad_check, l2_penalty, softmax_xent
-from .textpipe import Vocab, build_doc, build_vocab, normalize, tokenize_tweets
+from .textpipe import Vocab, build_doc, build_vocab, normalize, tokenize_tweets, user_tokens
 from .train import (
     EnsembleReport,
     coverage,
@@ -347,7 +347,7 @@ def _cmd_predict(args) -> int:
                               "did not finish; rerun train with --resume")
     checkpoints = [found[i] for i in range(len(found))]
     users = read_users_jsonl(args.users)
-    docs = [build_doc(u, vocab) for u in users]
+    docs = [build_doc(u.user_id, user_tokens(u), vocab) for u in users]
     preds = predict_ensemble(checkpoints, docs, batch_size=args.batch_size)
     write_predictions_jsonl(preds, args.out)
     print(f"predicted {len(preds)} authors with {len(checkpoints)} fold models "
@@ -478,8 +478,9 @@ def _gradcheck_setup(seed: int):
                       char_filters=5, char_filter_width=3,
                       word_filter_widths=(1, 2, 3), word_filters_per_width=4,
                       dense_units=8, dropout=0.0, l2=1e-4, batch_size=6)
-    vocab = build_vocab(corpus, min_word_freq=1)
-    docs = [build_doc(u, vocab) for u in corpus]
+    streams = [user_tokens(u) for u in corpus]
+    vocab = build_vocab(streams, min_word_freq=1)
+    docs = [build_doc(u.user_id, tokens, vocab) for u, tokens in zip(corpus, streams)]
     labels = [gender_index(u.gender) for u in corpus]
     batch = make_batch(docs, labels)
     params = init_params(arch, vocab, seed=seed, dtype=np.float64)
@@ -591,7 +592,7 @@ def _check_checkpoint_roundtrip():
     spec = SynthSpec(users_per_class=2, tweets_per_user=2, vocab_size=20,
                      marker_rate=1.0, seed=4)
     corpus = gen_gender_corpus(spec)
-    vocab = build_vocab(corpus, min_word_freq=1)
+    vocab = build_vocab(map(user_tokens, corpus), min_word_freq=1)
     arch = ArchConfig(variant="cnn_char_pos", word_dim=4, char_dim=3, pos_dim=2,
                       char_filters=3, word_filter_widths=(1, 2),
                       word_filters_per_width=2, dense_units=4, dropout=0.0)

@@ -184,6 +184,15 @@ def _bad_record(path, lineno: int, exc: Exception) -> CorpusError:
     return CorpusError(f"{path}, line {lineno}: {what}")
 
 
+def _json_list(obj, field: str, kinds, what: str) -> list:
+    """``obj[field]`` if it is a JSON list of ``what`` (a bool is not a number)."""
+    value = obj[field]
+    if not (isinstance(value, list) and all(
+            isinstance(v, kinds) and not isinstance(v, bool) for v in value)):
+        raise TypeError(f"{field} must be a list of {what}")
+    return value
+
+
 def read_users_jsonl(path) -> list[UserRecord]:
     users: list[UserRecord] = []
     seen: dict[str, int] = {}
@@ -192,7 +201,7 @@ def read_users_jsonl(path) -> list[UserRecord]:
             user = UserRecord(
                 user_id=obj["user_id"],
                 gender=_parse_gender(obj.get("gender"), where=f"{path}, line {lineno}"),
-                tweets=list(obj["tweets"]),
+                tweets=_json_list(obj, "tweets", str, "strings"),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise _bad_record(path, lineno, exc) from exc
@@ -308,7 +317,8 @@ def read_predictions_jsonl(path) -> list[GenderPrediction]:
             pred = GenderPrediction(
                 user_id=obj["user_id"],
                 voted_gender=_parse_gender(obj["gender"], where=f"{path}, line {lineno}"),
-                fold_probs=[float(p) for p in obj["fold_probs"]],
+                fold_probs=[float(p) for p in _json_list(obj, "fold_probs", (int, float),
+                                                         "numbers")],
                 avg_prob=float(obj["avg_prob"]),
             )
             first = seen.setdefault(pred.user_id, lineno)

@@ -372,20 +372,23 @@ class Vocab:
 
 
 def tokenize_tweets(tweets) -> list[list[str]]:
-    """Normalize + tokenize a sequence of raw tweets, one token list per tweet."""
+    """One token list per raw tweet, as ``preprocess`` writes them."""
     return [tokenize(normalize(t)) for t in tweets]
 
 
-def build_vocab(corpus, min_word_freq: int = 2) -> Vocab:
-    """Word map for all tokens with corpus frequency >= ``min_word_freq``.
+def user_tokens(user) -> list[str]:
+    """One author's tweets through one cascade: the :func:`tokenize_tweets` lists end
+    to end, since no normalization rule and no token spans the joining newline."""
+    return tokenize(normalize("\n".join(user.tweets)))
+
+
+def build_vocab(streams, min_word_freq: int = 2) -> Vocab:
+    """Word map for all tokens with frequency >= ``min_word_freq`` in ``streams``.
 
     The char map is fixed (printable ASCII + PAD/UNK = 97 entries) and the
-    tag map is the fixed tagset, so only words depend on the corpus.
+    tag map is the fixed tagset, so only words depend on the streams.
     """
-    counts: Counter = Counter()
-    for user in corpus:
-        for toks in tokenize_tweets(user.tweets):
-            counts.update(toks)
+    counts = Counter(chain.from_iterable(streams))
     words = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
     for word, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
         if counts[word] >= min_word_freq:
@@ -435,18 +438,15 @@ def surface_ids(surface: str) -> tuple[int, tuple[int, ...]]:
             tuple(chars.get(c, UNK_ID) for c in surface[:MAX_TOKEN_CHARS]))
 
 
-def build_doc(user, vocab: Vocab) -> TokenizedDoc:
-    """Normalize, tokenize, tag and resolve all tweets of one user into one doc.
+def build_doc(user_id: str, tokens: list[str], vocab: Vocab) -> TokenizedDoc:
+    """Tag and resolve one author's token stream (:func:`user_tokens`) into one doc.
 
-    Tweets are concatenated in order and the token stream is truncated
-    head-preserving at ``MAX_DOC_TOKENS``.  Each distinct surface is resolved
-    once, then gathered back to token order.
+    The stream is truncated head-preserving at ``MAX_DOC_TOKENS``.  Each
+    distinct surface is resolved once, then gathered back to token order.
     """
-    tokens: list[str] = []
-    for toks in tokenize_tweets(user.tweets):
-        tokens += toks[:MAX_DOC_TOKENS - len(tokens)]
+    tokens = tokens[:MAX_DOC_TOKENS]
     if not tokens:
-        raise TextPipeError(f"user {user.user_id!r}: no tokens survive preprocessing")
+        raise TextPipeError(f"user {user_id!r}: no tokens survive preprocessing")
     types: dict[str, int] = {}
     inverse = np.fromiter((types.setdefault(t, len(types)) for t in tokens),
                           dtype=np.int64, count=len(tokens))
@@ -455,7 +455,7 @@ def build_doc(user, vocab: Vocab) -> TokenizedDoc:
     char_ids = np.zeros((len(chars), lens.max()), dtype=np.int64)
     char_ids[np.arange(lens.max()) < lens[:, None]] = list(chain.from_iterable(chars))
     return TokenizedDoc(
-        user_id=user.user_id, tokens=tokens,
+        user_id=user_id, tokens=tokens,
         word_ids=np.fromiter(map(vocab.word_id, types), dtype=np.int64, count=len(types))[inverse],
         pos_ids=np.array(tag_ids, dtype=np.int64)[inverse],
         char_ids=char_ids[inverse], fingerprint=vocab.fingerprint())

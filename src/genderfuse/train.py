@@ -28,7 +28,7 @@ from .ioutil import read_json, write_json
 from .model import (ArchConfig, init_params, load_params, make_batch,
                     predict_probs, save_params, train_step)
 from .tensor import Adam
-from .textpipe import Vocab, build_doc, build_vocab
+from .textpipe import Vocab, build_doc, build_vocab, user_tokens
 
 log = logging.getLogger(__name__)
 
@@ -241,7 +241,8 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
 
-    vocab = build_vocab(corpus, min_word_freq=min_word_freq)
+    streams = [user_tokens(u) for u in corpus]
+    vocab = build_vocab(streams, min_word_freq=min_word_freq)
     vocab_path = workdir / "vocab.json"
     if vocab_path.exists():
         stored = read_json(vocab_path, Vocab.from_json)
@@ -252,8 +253,10 @@ def train_cv(corpus, arch: ArchConfig, *, k: int = 5, epochs: int = 20,
     else:
         write_json(vocab_path, vocab.to_json())
 
-    docs = [build_doc(u, vocab) for u in corpus]
-    eval_docs = docs if test_corpus is None else [build_doc(u, vocab) for u in test_corpus]
+    docs = [build_doc(u.user_id, tokens, vocab) for u, tokens in zip(corpus, streams)]
+    del streams
+    eval_docs = docs if test_corpus is None else [
+        build_doc(u.user_id, user_tokens(u), vocab) for u in test_corpus]
 
     manifest = {
         "seed": seed, "epochs": epochs, "k": k, "arch": arch.to_json(),

@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from genderfuse.baseline import TfidfConfig, baseline_cv, user_tokens
+from genderfuse.baseline import TfidfConfig, baseline_cv
 from genderfuse.cli import fd_gradcheck, main
 from genderfuse.corpus import split_folds
 from genderfuse.model import ArchConfig
 from genderfuse.stats import AnalysisConfig, ConstructTable, analyze, chi2_tail, odds_ratio
 from genderfuse.synth import SynthSpec, gen_gender_corpus, gen_labeled_tweets
 from genderfuse.tensor import Tensor, _conv_same, conv1d
-from genderfuse.textpipe import Vocab, build_doc, normalize, tokenize
+from genderfuse.textpipe import Vocab, build_doc, normalize, tokenize, user_tokens
 from genderfuse.train import EnsembleReport, evaluate, predict_ensemble, train_cv
 from test_baseline import fold_models, oracle_fit
 
@@ -118,7 +118,7 @@ def char_runs(tmp_path_factory):
                        workdir=root / variant, test_corpus=held_out).folds
         vocab = Vocab.from_json(json.loads(
             (root / variant / "vocab.json").read_text(encoding="utf-8")))
-        docs = [build_doc(u, vocab) for u in held_out]
+        docs = [build_doc(u.user_id, user_tokens(u), vocab) for u in held_out]
         preds = predict_ensemble([fr.checkpoint for fr in frs], docs)
         runs[variant] = SimpleNamespace(frs=frs, vocab=vocab, docs=docs,
                                         voting=evaluate(preds, held_out),

@@ -24,7 +24,7 @@ from genderfuse.errors import ConfigError, TrainingError
 from genderfuse.ioutil import write_json
 from genderfuse.model import ArchConfig, init_params, predict_probs, save_params
 from genderfuse.stats import AnalysisConfig
-from genderfuse.textpipe import build_doc, build_vocab
+from genderfuse.textpipe import build_doc, build_vocab, normalize, user_tokens
 from genderfuse.train import coverage, coverage_summary, train_cv
 
 
@@ -286,20 +286,33 @@ def test_train_twice_is_byte_identical(tmp_path, users_file, trained):
         (trained / "report.json").read_bytes()
 
 
-@pytest.mark.parametrize("held_out", [False, True])
-def test_train_tokenizes_each_author_once(tmp_path, users_file, monkeypatch, held_out):
-    calls = []
+@pytest.mark.parametrize("command, calls", [
+    ("train", 24), ("train --test-users", 48), ("predict", 24), ("baseline", 24)])
+def test_each_command_normalizes_each_author_once(tmp_path, monkeypatch, command, calls):
+    # 24 authors of 5 tweets: one cascade per author, not one per tweet
+    users = tmp_path / "users.jsonl"
+    assert main(["synth", "users", "--seed", "5", "--out", str(users),
+                 "--users-per-class", "12", "--tweets-per-user", "5"]) == 0
+    workdir = tmp_path / "run"
+    if command == "predict":
+        assert main(train_args(users, workdir)) == 0
+    texts = []
 
-    def counting_build_doc(user, vocab):
-        calls.append(user.user_id)
-        return build_doc(user, vocab)
+    def counting_normalize(text):
+        texts.append(text)
+        return normalize(text)
 
-    monkeypatch.setattr("genderfuse.train.build_doc", counting_build_doc)
-    monkeypatch.setattr("genderfuse.cli.build_doc", counting_build_doc)
-    extra = ["--test-users", str(users_file)] if held_out else []
-    assert main(train_args(users_file, tmp_path) + extra) == 0
-    # 24 training authors, plus the same 24 again as the test corpus
-    assert len(calls) == (48 if held_out else 24)
+    monkeypatch.setattr("genderfuse.textpipe.normalize", counting_normalize)
+    argv = {
+        "train": train_args(users, workdir),
+        "train --test-users": train_args(users, workdir) + ["--test-users", str(users)],
+        "predict": ["predict", "--workdir", str(workdir), "--users", str(users),
+                    "--out", str(tmp_path / "preds.jsonl")],
+        "baseline": ["baseline", "--users", str(users), "--seed", "1", "--folds", "3",
+                     "--set", "baseline_min_df=1"],
+    }[command]
+    assert main(argv) == 0
+    assert len(texts) == calls
 
 
 def test_train_refuses_dirty_workdir_without_resume(users_file, trained, capsys):
@@ -344,7 +357,7 @@ def _random_folds(workdir, users_file, k):
     ``predict`` requires; it does not read what the record holds.
     """
     users = read_users_jsonl(users_file)
-    vocab = build_vocab(users, min_word_freq=1)
+    vocab = build_vocab(map(user_tokens, users), min_word_freq=1)
     write_json(workdir / "vocab.json", vocab.to_json())
     arch = ArchConfig(variant="cnn", word_dim=4, word_filter_widths=(1,),
                       word_filters_per_width=2, dense_units=2, dropout=0.0, batch_size=8)
@@ -352,7 +365,7 @@ def _random_folds(workdir, users_file, k):
     for i, m in enumerate(models):
         save_params(m, workdir / f"fold{i}.gfus")
         write_json(workdir / f"fold{i}.json", {"fold": i})
-    return models, [build_doc(u, vocab) for u in users]
+    return models, [build_doc(u.user_id, user_tokens(u), vocab) for u in users]
 
 
 def test_predict_takes_folds_in_index_order(tmp_path, users_file):
@@ -647,11 +660,13 @@ PRED_OK = '{"user_id": "a", "gender": "male", "fold_probs": [0.9], "avg_prob": 0
     ("train", USER_OK, '{"user_id": "b", "gender": "male", "tweets": 5}'),
     ("train", USER_OK, '{"user_id": "b", "gender": "male", "tweets": [5]}'),
     ("train", USER_OK, '{"user_id": 7, "gender": "male", "tweets": ["x"]}'),
+    ("train", USER_OK, '{"user_id": "b", "gender": "male", "tweets": "hi"}'),
     ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": "a", "year": "x"}'),
     ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": "a", "year": 0}'),
     ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": "a", "year": 99999999999999999999}'),
     ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": 7, "year": 2015}'),
     ("evaluate", PRED_OK, '{"user_id": "b", "gender": "male", "fold_probs": 5, "avg_prob": 1}'),
+    ("evaluate", PRED_OK, '{"user_id": "b", "gender": "male", "fold_probs": "1", "avg_prob": 1}'),
 ])
 def test_malformed_jsonl_is_data_error_naming_line(tmp_path, capsys, command, good, bad):
     path = tmp_path / "bad.jsonl"

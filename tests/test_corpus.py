@@ -162,6 +162,28 @@ def test_users_jsonl_parse_error_reports_line(tmp_path):
         read_users_jsonl(path)
 
 
+# a string or an object is iterable too, so it must not read as a list
+@pytest.mark.parametrize("tweets", ['"hi"', '{"x": 1}', '["ok", 7]', '["ok", null]',
+                                    '[["ok"]]', 'null', '7'])
+def test_users_jsonl_tweets_must_be_a_list_of_strings(tmp_path, tweets):
+    path = tmp_path / "users.jsonl"
+    path.write_text('{"user_id": "a", "gender": null, "tweets": ["x"]}\n'
+                    f'{{"user_id": "b", "gender": null, "tweets": {tweets}}}\n')
+    with pytest.raises(CorpusError, match=r"line 2: .*tweets must be a list of strings"):
+        read_users_jsonl(path)
+
+
+@pytest.mark.parametrize("fold_probs", ['"1"', '{"1": 0}', '["1"]', '[true]', '[1, null]',
+                                        'null', '1'])
+def test_predictions_jsonl_fold_probs_must_be_a_list_of_numbers(tmp_path, fold_probs):
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"user_id": "a", "gender": "male", "fold_probs": [1], "avg_prob": 1}\n'
+                    f'{{"user_id": "b", "gender": "male", "fold_probs": {fold_probs}, '
+                    '"avg_prob": 1.0}\n')
+    with pytest.raises(CorpusError, match=r"line 2: .*fold_probs must be a list of numbers"):
+        read_predictions_jsonl(path)
+
+
 def test_predictions_jsonl_round_trip(tmp_path):
     preds = [GenderPrediction.from_fold_probs(f"u{i}", GENDERS[i % 2], [0.5 + 0.01 * i] * 5)
              for i in range(3)]

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from genderfuse.corpus import UserRecord
 from genderfuse.errors import CheckpointError
 from genderfuse.model import CHECKPOINT_VERSION, ArchConfig, init_params, load_params, save_params
-from genderfuse.textpipe import build_vocab
+from genderfuse.textpipe import build_vocab, user_tokens
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +20,7 @@ def params():
     arch = ArchConfig(variant="cnn_char_pos", word_dim=3, char_dim=2, pos_dim=2,
                       char_filters=2, word_filter_widths=(1, 2),
                       word_filters_per_width=2, dense_units=2, dropout=0.0)
-    return init_params(arch, build_vocab(users, min_word_freq=1), seed=0)
+    return init_params(arch, build_vocab(map(user_tokens, users), min_word_freq=1), seed=0)
 
 
 @pytest.fixture(scope="module")

@@ -26,7 +26,7 @@ from genderfuse.model import (
 from genderfuse.tensor import (Adam, Tensor, _conv_same, add, conv1d, embedding_lookup,
                                grad_check, l2_penalty, softmax_xent)
 from genderfuse.textpipe import (MAX_DOC_TOKENS, MAX_TOKEN_CHARS, UNK_ID, build_doc,
-                                 build_vocab, pos_tag, tokenize_tweets)
+                                 build_vocab, pos_tag, tokenize_tweets, user_tokens)
 
 
 def tiny_arch(**kw):
@@ -51,8 +51,8 @@ def tiny_corpus():
 @pytest.fixture(scope="module")
 def setup():
     corpus = tiny_corpus()
-    vocab = build_vocab(corpus, min_word_freq=1)
-    docs = [build_doc(u, vocab) for u in corpus]
+    vocab = build_vocab(map(user_tokens, corpus), min_word_freq=1)
+    docs = [build_doc(u.user_id, user_tokens(u), vocab) for u in corpus]
     labels = [gender_index(u.gender) for u in corpus]
     return corpus, vocab, docs, labels
 
@@ -221,8 +221,8 @@ def test_eval_char_summaries_run_once_per_distinct_row(dtype, tol, monkeypatch):
     corpus = [UserRecord("a", "male", ["hi"]), UserRecord("b", "female", ["hi"]),
               UserRecord("c", "male", ["the cat the cat sat", "cat naps supercalifragilistic"]),
               UserRecord("d", "female", ["x"])]
-    vocab = build_vocab(corpus, min_word_freq=1)
-    batch = make_batch([build_doc(u, vocab) for u in corpus])
+    vocab = build_vocab(map(user_tokens, corpus), min_word_freq=1)
+    batch = make_batch([build_doc(u.user_id, user_tokens(u), vocab) for u in corpus])
     rows = batch.char_ids.reshape(-1, batch.char_ids.shape[2])
     first, inverse = batch.char_rows
     n_distinct = len(np.unique(rows, axis=0))
@@ -296,9 +296,9 @@ _FIXED = [UserRecord("one", "male", ["hi"]),
 def test_make_batch_matches_per_token_oracle(tweets, vocab_users):
     users = _FIXED + [UserRecord(f"u{i}", "female", tw) for i, tw in enumerate(tweets)]
     # a vocabulary from a prefix of the users leaves the rest with OOV words
-    vocab = build_vocab(users[:vocab_users], min_word_freq=1)
+    vocab = build_vocab(map(user_tokens, users[:vocab_users]), min_word_freq=1)
     labels = [i % 2 for i in range(len(users))]
-    got = make_batch([build_doc(u, vocab) for u in users], labels)
+    got = make_batch([build_doc(u.user_id, user_tokens(u), vocab) for u in users], labels)
     want = make_batch_oracle(users, vocab, labels)
     for name in ("word_ids", "pos_ids", "char_ids", "char_lens", "doc_lens", "labels"):
         g, w = getattr(got, name), getattr(want, name)
@@ -309,7 +309,8 @@ def test_make_batch_matches_per_token_oracle(tweets, vocab_users):
 
 def test_make_batch_rejects_mixed_vocabularies(setup):
     corpus, vocab, docs, _ = setup
-    other = build_doc(corpus[0], build_vocab(corpus, min_word_freq=2))
+    other = build_doc(corpus[0].user_id, user_tokens(corpus[0]),
+                      build_vocab(map(user_tokens, corpus), min_word_freq=2))
     with pytest.raises(CheckpointError, match="fingerprint"):
         make_batch([docs[1], other])
 
@@ -429,8 +430,8 @@ def test_forward_frees_embeddings_before_word_convs(setup, monkeypatch):
 def test_forward_rejects_foreign_vocab(setup):
     corpus, vocab, docs, _ = setup
     p = init_params(tiny_arch(), vocab, seed=13)
-    other_vocab = build_vocab(corpus, min_word_freq=2)
-    batch = make_batch([build_doc(corpus[0], other_vocab)])
+    other_vocab = build_vocab(map(user_tokens, corpus), min_word_freq=2)
+    batch = make_batch([build_doc(corpus[0].user_id, user_tokens(corpus[0]), other_vocab)])
     with pytest.raises(CheckpointError, match="fingerprint"):
         forward(p, batch)
 
@@ -557,8 +558,8 @@ def long_batch_setup(n_docs: int = 4):
     corpus = [UserRecord(f"u{i}", ("female", "male")[i % 2],
                          [" ".join(rng.choice(words, 20)) for _ in range(20)])
               for i in range(n_docs)]
-    vocab = build_vocab(corpus, min_word_freq=1)
-    docs = [build_doc(u, vocab) for u in corpus]
+    vocab = build_vocab(map(user_tokens, corpus), min_word_freq=1)
+    docs = [build_doc(u.user_id, user_tokens(u), vocab) for u in corpus]
     arch = tiny_arch(word_dim=16, pos_dim=4, word_filters_per_width=512, batch_size=n_docs)
     p = init_params(arch, vocab, seed=41)
     batch = make_batch(docs, [i % 2 for i in range(n_docs)])

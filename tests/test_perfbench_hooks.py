@@ -39,11 +39,11 @@ def test_traced_counters_see_docs_and_batches(monkeypatch):
     import tracing
 
     user = UserRecord("a", "female", ["the cat sat on the mat", "hello there"])
-    vocab = textpipe.build_vocab([user], min_word_freq=1)
+    vocab = textpipe.build_vocab([textpipe.user_tokens(user)], min_word_freq=1)
     tr = tracing.Tracer()
     restore, _ = tracing.install(tr)
     try:
-        doc = textpipe.build_doc(user, vocab)
+        doc = textpipe.build_doc(user.user_id, textpipe.user_tokens(user), vocab)
         model.make_batch([doc])
     finally:
         restore()
@@ -84,8 +84,8 @@ def test_traced_forward_labels_every_conv(monkeypatch):
 
     users = [UserRecord("a", "female", ["the cat sat on the mat"]),
              UserRecord("b", "male", ["dogs run fast", "hello there"])]
-    vocab = textpipe.build_vocab(users, min_word_freq=1)
-    docs = [textpipe.build_doc(u, vocab) for u in users]
+    vocab = textpipe.build_vocab(map(textpipe.user_tokens, users), min_word_freq=1)
+    docs = [textpipe.build_doc(u.user_id, textpipe.user_tokens(u), vocab) for u in users]
     arch = model.ArchConfig(word_dim=4, char_dim=3, pos_dim=2, char_filters=2,
                             word_filters_per_width=2, dense_units=2, dropout=0.0)
     params = model.init_params(arch, vocab, seed=0)

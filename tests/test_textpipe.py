@@ -29,6 +29,7 @@ from genderfuse.textpipe import (
     tag_word,
     tokenize,
     tokenize_tweets,
+    user_tokens,
 )
 
 GOLDENS = json.loads(
@@ -91,6 +92,28 @@ def test_tokenize_splits_attached_punctuation():
 
 def test_tokenize_keeps_punct_runs_together():
     assert tokenize("wait ;-; what") == ["wait", ";-;", "what"]
+
+
+# Fragments that sit at a tweet's edge: a URL or "www." ending a tweet, half
+# an emoticon or of "<3", "#" runs, "!?." runs and elongations, ALL-CAPS
+# runs, the context-sensitive lowercasings of "Σ" and "İ", and whitespace
+# other than a space inside a tweet.
+_EDGE_FRAGMENTS = st.sampled_from([
+    "http://t.co/x", "https://a.b/c!", "www.", "www.a.", "Www.a.b/c", "ftp",
+    ":", ";", "=", "8", "-", "'", ")", "(", "D", "d", "p", "P", "/", "|", "*",
+    "<", "3", "<3", "#", "##", "#a#b", "!", "?", ".", "!!", "?.", "oooo", "zzZ",
+    "Aaa", "LOUD", "ΑΣ", "Σ", "σ", "ς", "İ", "i", "@", "_", "1", "2.5",
+    " ", "\n", "\r", "\t", "\r\n",
+])
+_EDGE_TWEETS = st.lists(_EDGE_FRAGMENTS, min_size=0, max_size=6).map("".join)
+
+
+@given(tweets=st.lists(_EDGE_TWEETS, min_size=0, max_size=5))
+@settings(max_examples=500, deadline=None)
+def test_user_tokens_equal_the_concatenated_per_tweet_tokens(tweets):
+    # any tweets, blank ones too, which the readers refuse
+    got = user_tokens(SimpleNamespace(tweets=tweets))
+    assert got == list(chain.from_iterable(tokenize_tweets(tweets)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +198,9 @@ def test_tag_map_covers_tagset():
 
 def test_build_vocab_min_freq():
     corpus = [_user("u1", ["apple banana apple", "banana cherry"])]
-    v1 = build_vocab(corpus, min_word_freq=1)
+    v1 = build_vocab(map(user_tokens, corpus), min_word_freq=1)
     assert {"apple", "banana", "cherry"} <= set(v1.words)
-    v2 = build_vocab(corpus, min_word_freq=2)
+    v2 = build_vocab(map(user_tokens, corpus), min_word_freq=2)
     assert "cherry" not in v2.words
     assert v2.word_id("cherry") == UNK_ID
     # frequency then lexicographic tie-break keeps ids stable
@@ -186,11 +209,11 @@ def test_build_vocab_min_freq():
 
 def test_vocab_json_roundtrip_preserves_fingerprint():
     corpus = [_user("u1", ["hello world hello", "world again"])]
-    v = build_vocab(corpus, min_word_freq=1)
+    v = build_vocab(map(user_tokens, corpus), min_word_freq=1)
     v2 = Vocab.from_json(v.to_json())
     assert v2.words == v.words
     assert v2.fingerprint() == v.fingerprint()
-    other = build_vocab(corpus, min_word_freq=2)
+    other = build_vocab(map(user_tokens, corpus), min_word_freq=2)
     assert other.fingerprint() != v.fingerprint()
 
 
@@ -208,8 +231,8 @@ def test_char_ids_truncation_and_unk():
 
 def test_build_doc_concatenates_in_tweet_order():
     u = _user("u1", ["one two three", "four five six"])
-    v = build_vocab([u], min_word_freq=1)
-    doc = build_doc(u, v)
+    v = build_vocab([user_tokens(u)], min_word_freq=1)
+    doc = build_doc(u.user_id, user_tokens(u), v)
     assert doc.tokens == ["one", "two", "three", "four", "five", "six"]
     assert doc.user_id == "u1"
 
@@ -218,8 +241,8 @@ def test_build_doc_truncates_head_preserving():
     words = ["alpha"] + ["beta", "gamma"] * (MAX_DOC_TOKENS // 2) + ["delta", "omega"]
     assert len(words) == MAX_DOC_TOKENS + 3
     u = _user("u1", [" ".join(words[:10]), " ".join(words[10:])])
-    v = build_vocab([u], min_word_freq=1)
-    doc = build_doc(u, v)
+    v = build_vocab([user_tokens(u)], min_word_freq=1)
+    doc = build_doc(u.user_id, user_tokens(u), v)
     assert doc.tokens == words[:MAX_DOC_TOKENS]
     assert doc.word_ids.shape == doc.pos_ids.shape == (MAX_DOC_TOKENS,)
     assert doc.char_ids.shape[0] == MAX_DOC_TOKENS
@@ -227,8 +250,8 @@ def test_build_doc_truncates_head_preserving():
 
 def test_build_doc_oov_word_resolves_chars():
     u = _user("u1", ["zxqv hello"])
-    v = build_vocab([_user("u2", ["hello there"])], min_word_freq=1)
-    doc = build_doc(u, v)
+    v = build_vocab([user_tokens(_user("u2", ["hello there"]))], min_word_freq=1)
+    doc = build_doc(u.user_id, user_tokens(u), v)
     assert v.word_id("zxqv") == UNK_ID
     assert doc.word_ids[0] == UNK_ID
     assert doc.char_ids[0, :4].tolist() == [v.chars[c] for c in "zxqv"]
@@ -237,9 +260,8 @@ def test_build_doc_oov_word_resolves_chars():
 
 def test_build_doc_zero_tokens_names_user():
     v = Vocab({"<pad>": 0, "<unk>": 1})
-    ghost = SimpleNamespace(user_id="ghost", tweets=[])
     with pytest.raises(TextPipeError, match="ghost"):
-        build_doc(ghost, v)
+        build_doc("ghost", [], v)
 
 
 def build_doc_oracle(user, vocab):
@@ -283,9 +305,9 @@ def test_build_doc_matches_per_token_oracle(users, repeat, vocab_users):
     # repeated tweets repeat tokens; a vocabulary from a prefix of the users
     # leaves the rest with OOV words; the fixed user is a one-token doc
     corpus = [_user("one", ["hi"])] + [_user(f"u{i}", tw * repeat) for i, tw in enumerate(users)]
-    vocab = build_vocab(corpus[:vocab_users + 1], min_word_freq=1)
+    vocab = build_vocab(map(user_tokens, corpus[:vocab_users + 1]), min_word_freq=1)
     for u in corpus:
-        assert_doc_matches_oracle(build_doc(u, vocab), u, vocab)
+        assert_doc_matches_oracle(build_doc(u.user_id, user_tokens(u), vocab), u, vocab)
 
 
 def test_build_doc_matches_oracle_past_the_surface_cache():
@@ -295,7 +317,7 @@ def test_build_doc_matches_oracle_past_the_surface_cache():
     words = [f"w{i}x" for i in range(n_docs * MAX_DOC_TOKENS)]
     corpus = [_user(f"u{d}", [" ".join(words[d * MAX_DOC_TOKENS:(d + 1) * MAX_DOC_TOKENS])])
               for d in range(n_docs)]
-    vocab = build_vocab(corpus[:1], min_word_freq=1)
+    vocab = build_vocab(map(user_tokens, corpus[:1]), min_word_freq=1)
     for u in corpus + corpus[:1]:
-        assert_doc_matches_oracle(build_doc(u, vocab), u, vocab)
+        assert_doc_matches_oracle(build_doc(u.user_id, user_tokens(u), vocab), u, vocab)
     assert surface_ids.cache_info().currsize <= SURFACE_CACHE_SIZE

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from genderfuse.corpus import GENDERS, GenderPrediction, UserRecord, gender_index, split_folds
 from genderfuse.errors import CheckpointError, CorpusError, ShapeError, TrainingError
 from genderfuse.model import ArchConfig, init_params, save_params
-from genderfuse.textpipe import build_doc, build_vocab
+from genderfuse.textpipe import build_doc, build_vocab, user_tokens
 from genderfuse.train import (AlgoSummary, EnsembleReport, FoldResult, _run_fold,
                               coverage, coverage_summary, evaluate, predict_ensemble,
                               train_cv, vote_probs)
@@ -207,8 +207,8 @@ def test_train_cv_fold_order_independent(cv_run, tmp_path):
     # fold 2 run in isolation reproduces the full run's fold 2 exactly
     corpus, results, _ = cv_run
     folds = split_folds(corpus, 3, 7)
-    vocab = build_vocab(corpus, min_word_freq=1)
-    docs = [build_doc(u, vocab) for u in corpus]
+    vocab = build_vocab(map(user_tokens, corpus), min_word_freq=1)
+    docs = [build_doc(u.user_id, user_tokens(u), vocab) for u in corpus]
     labels = [gender_index(u.gender) for u in corpus]
     tr = sorted(set(range(len(corpus))) - set(folds[2]))
     fr = _run_fold(2, [docs[j] for j in tr], [labels[j] for j in tr],
@@ -340,8 +340,8 @@ def test_train_cv_full_scale_fold_arithmetic():
 
 def test_run_fold_drops_singleton_batch(tmp_path, monkeypatch):
     corpus = make_corpus(3)
-    vocab = build_vocab(corpus, min_word_freq=1)
-    docs = [build_doc(u, vocab) for u in corpus]
+    vocab = build_vocab(map(user_tokens, corpus), min_word_freq=1)
+    docs = [build_doc(u.user_id, user_tokens(u), vocab) for u in corpus]
     labels = [gender_index(u.gender) for u in corpus]
     calls = []
     import genderfuse.train as train_mod
@@ -364,8 +364,8 @@ def test_run_fold_drops_singleton_batch(tmp_path, monkeypatch):
 
 def test_identical_members_equal_single_model(tmp_path):
     corpus = make_corpus(2)
-    vocab = build_vocab(corpus, min_word_freq=1)
-    docs = [build_doc(u, vocab) for u in corpus]
+    vocab = build_vocab(map(user_tokens, corpus), min_word_freq=1)
+    docs = [build_doc(u.user_id, user_tokens(u), vocab) for u in corpus]
     p = init_params(tiny_arch(), vocab, seed=9)
     path = tmp_path / "m.gfus"
     save_params(p, path)
@@ -384,23 +384,23 @@ def test_ensemble_rejects_foreign_vocab(cv_run, tmp_path):
     corpus, results, _ = cv_run
     other_corpus = [UserRecord(f"x{i}", GENDERS[i % 2], ["completely other tokens"])
                     for i in range(4)]
-    other_vocab = build_vocab(other_corpus, min_word_freq=1)
+    other_vocab = build_vocab(map(user_tokens, other_corpus), min_word_freq=1)
     stranger = init_params(tiny_arch(), other_vocab, seed=0)
     path = tmp_path / "stranger.gfus"
     save_params(stranger, path)
-    vocab = build_vocab(corpus, min_word_freq=1)
-    docs = [build_doc(u, vocab) for u in corpus]
+    vocab = build_vocab(map(user_tokens, corpus), min_word_freq=1)
+    docs = [build_doc(u.user_id, user_tokens(u), vocab) for u in corpus]
     with pytest.raises(CheckpointError, match="fingerprint"):
         predict_ensemble([results[0].checkpoint, path], docs)
 
 
 def test_ensemble_rejects_arch_mismatch(cv_run, tmp_path):
     corpus, results, _ = cv_run
-    vocab = build_vocab(corpus, min_word_freq=1)
+    vocab = build_vocab(map(user_tokens, corpus), min_word_freq=1)
     odd = init_params(tiny_arch(dense_units=16), vocab, seed=0)
     path = tmp_path / "odd.gfus"
     save_params(odd, path)
-    docs = [build_doc(u, vocab) for u in corpus]
+    docs = [build_doc(u.user_id, user_tokens(u), vocab) for u in corpus]
     with pytest.raises(CheckpointError, match="architecture"):
         predict_ensemble([results[0].checkpoint, path], docs)
 
@@ -412,8 +412,8 @@ def test_ensemble_needs_members():
 
 def test_cv_checkpoints_ensemble_end_to_end(cv_run):
     corpus, results, _ = cv_run
-    vocab = build_vocab(corpus, min_word_freq=1)
-    docs = [build_doc(u, vocab) for u in corpus]
+    vocab = build_vocab(map(user_tokens, corpus), min_word_freq=1)
+    docs = [build_doc(u.user_id, user_tokens(u), vocab) for u in corpus]
     preds = predict_ensemble([fr.checkpoint for fr in results], docs)
     assert [p.user_id for p in preds] == [u.user_id for u in corpus]
     acc = evaluate(preds, corpus)
