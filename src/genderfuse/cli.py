@@ -21,7 +21,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,7 @@ from .synth import DEFAULT_RATES, SIGNALS, SynthSpec, gen_gender_corpus, gen_lab
 from .tensor import add, grad_check, l2_penalty, softmax_xent
 from .textpipe import Vocab, build_doc, build_vocab, normalize, tokenize_tweets, user_tokens
 from .train import (
+    COVERAGE_THRESHOLD,
     EnsembleReport,
     coverage,
     coverage_summary,
@@ -112,49 +113,66 @@ class _Key:
 
 _AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
 
+# The config objects whose fields are config keys, each with its key prefix.
+CONFIG_OBJECTS = {ArchConfig: "", TfidfConfig: "baseline_", AnalysisConfig: ""}
+
+
+def _object_keys(cls, keys: dict) -> dict:
+    """The fields of ``cls`` as keys with its defaults; ``keys`` gives each (parse, help)."""
+    return {CONFIG_OBJECTS[cls] + f.name: _Key(keys[f.name][0], f.default, keys[f.name][1])
+            for f in fields(cls)}
+
+
+def config_object(cls, cfg: dict):
+    """An instance of a config object built from the keys of a resolved config."""
+    return cls(**{f.name: cfg[CONFIG_OBJECTS[cls] + f.name] for f in fields(cls)})
+
 
 CONFIG_SPEC = {
-    "variant": _Key(_choice(*VARIANT_COLUMN), "cnn_char_pos",
-                    "network variant: cnn | cnn_char | cnn_char_pos"),
-    "word_dim": _Key(int, 200, "word embedding width"),
-    "char_dim": _Key(int, 50, "character embedding width"),
-    "pos_dim": _Key(int, 10, "part-of-speech embedding width"),
-    "char_filters": _Key(int, 50, "filters in the per-token character conv"),
-    "char_filter_width": _Key(int, 3, "character conv window"),
-    "word_filter_widths": _Key(_parse_ints, (1, 2, 3),
-                               "token conv windows, comma separated"),
-    "word_filters_per_width": _Key(int, 2048, "filters per token conv window"),
-    "filters_are_total": _Key(_parse_bool, False,
-                              "treat word_filters_per_width as a total split across widths"),
-    "dense_units": _Key(int, 256, "hidden dense layer width"),
-    "dropout": _Key(float, 0.2, "dropout rate after the dense layer"),
-    "l2": _Key(float, 1e-5, "L2 penalty on conv and dense weights"),
-    "lr": _Key(float, 0.001, "Adam learning rate"),
-    "batch_size": _Key(int, 64, "training batch size"),
-    "freeze_word_emb": _Key(_parse_bool, False, "do not update word embeddings"),
+    **_object_keys(ArchConfig, {
+        "variant": (_choice(*VARIANT_COLUMN), "network variant: cnn | cnn_char | cnn_char_pos"),
+        "word_dim": (int, "word embedding width"),
+        "char_dim": (int, "character embedding width"),
+        "pos_dim": (int, "part-of-speech embedding width"),
+        "char_filters": (int, "filters in the per-token character conv"),
+        "char_filter_width": (int, "character conv window"),
+        "word_filter_widths": (_parse_ints, "token conv windows, comma separated"),
+        "word_filters_per_width": (int, "filters per token conv window"),
+        "dense_units": (int, "hidden dense layer width"),
+        "dropout": (float, "dropout rate after the dense layer"),
+        "l2": (float, "L2 penalty on conv and dense weights"),
+        "lr": (float, "Adam learning rate"),
+        "batch_size": (int, "training batch size"),
+        "freeze_word_emb": (_parse_bool, "do not update word embeddings"),
+    }),
     "folds": _Key(int, 5, "cross-validation fold count"),
     "epochs": _Key(int, 20, "training epochs per fold", _AT_LEAST_ONE),
     "min_word_freq": _Key(int, 2, "corpus frequency below which words map to <unk>"),
     "jobs": _Key(int, 1, "process count; parallelism is across folds only",
                  _AT_LEAST_ONE),
-    "coverage_threshold": _Key(float, 0.80, "confidence bar for the coverage summary",
+    "coverage_threshold": _Key(float, COVERAGE_THRESHOLD,
+                               "confidence bar for the coverage summary",
                                (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
-    "baseline_ngram_lo": _Key(int, 1, "smallest TF-IDF n-gram order"),
-    "baseline_ngram_hi": _Key(int, 2, "largest TF-IDF n-gram order"),
-    "baseline_min_df": _Key(int, 2, "minimum document frequency for TF-IDF terms"),
-    "baseline_sublinear": _Key(_parse_bool, True, "log-scale TF-IDF term counts"),
+    **_object_keys(TfidfConfig, {
+        "ngram_lo": (int, "smallest TF-IDF n-gram order"),
+        "ngram_hi": (int, "largest TF-IDF n-gram order"),
+        "min_df": (int, "minimum document frequency for TF-IDF terms"),
+        "sublinear": (_parse_bool, "log-scale TF-IDF term counts"),
+    }),
     "baseline_l2": _Key(float, 1e-4, "ridge strength for the linear models",
                         (lambda v: v >= 0, "at least 0")),
     "baseline_epochs": _Key(int, 10, "SGD epochs for the linear models", _AT_LEAST_ONE),
     "baseline_lr": _Key(float, 0.1, "SGD learning rate for the linear models",
                         (lambda v: v > 0, "positive")),
-    "alpha": _Key(float, 0.05, "family-wise significance level"),
-    "comparisons": _Key(int, 25, "Bonferroni comparison count"),
-    "haldane": _Key(_parse_bool, True,
+    **_object_keys(AnalysisConfig, {
+        "alpha": (float, "family-wise significance level"),
+        "comparisons": (int, "Bonferroni comparison count"),
+        "haldane": (_parse_bool,
                     "add 0.5 to every cell of a table with a zero (odds ratio only)"),
-    "yates": _Key(_parse_bool, False, "continuity-correct the chi-square statistic"),
-    "denominator": _Key(_choice("all", "labeled"), "all",
+        "yates": (_parse_bool, "continuity-correct the chi-square statistic"),
+        "denominator": (_choice("all", "labeled"),
                         "rate denominator: every tweet, or construct-labeled tweets only"),
+    }),
 }
 
 
@@ -209,37 +227,6 @@ def resolve_config(config_flag, overrides, flags=None) -> dict:
     return cfg
 
 
-def arch_from_config(cfg: dict) -> ArchConfig:
-    return ArchConfig(
-        variant=cfg["variant"],
-        word_dim=cfg["word_dim"],
-        char_dim=cfg["char_dim"],
-        pos_dim=cfg["pos_dim"],
-        char_filters=cfg["char_filters"],
-        char_filter_width=cfg["char_filter_width"],
-        word_filter_widths=tuple(cfg["word_filter_widths"]),
-        word_filters_per_width=cfg["word_filters_per_width"],
-        filters_are_total=cfg["filters_are_total"],
-        dense_units=cfg["dense_units"],
-        dropout=cfg["dropout"],
-        l2=cfg["l2"],
-        lr=cfg["lr"],
-        batch_size=cfg["batch_size"],
-        freeze_word_emb=cfg["freeze_word_emb"],
-    )
-
-
-def tfidf_from_config(cfg: dict) -> TfidfConfig:
-    return TfidfConfig(ngram_lo=cfg["baseline_ngram_lo"], ngram_hi=cfg["baseline_ngram_hi"],
-                       min_df=cfg["baseline_min_df"], sublinear=cfg["baseline_sublinear"])
-
-
-def stats_config(cfg: dict) -> AnalysisConfig:
-    return AnalysisConfig(alpha=cfg["alpha"], comparisons=cfg["comparisons"],
-                          haldane=cfg["haldane"], yates=cfg["yates"],
-                          denominator=cfg["denominator"])
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -275,7 +262,7 @@ def _config(args) -> dict:
 
 def _cmd_train(args) -> int:
     cfg = _config(args)
-    arch = arch_from_config(cfg)
+    arch = config_object(ArchConfig, cfg)
     corpus = read_users_jsonl(args.users)
     test = read_users_jsonl(args.test_users) if args.test_users else None
     pretrained = read_embeddings(args.embeddings) if args.embeddings else None
@@ -352,7 +339,7 @@ def _cmd_predict(args) -> int:
     write_predictions_jsonl(preds, args.out)
     print(f"predicted {len(preds)} authors with {len(checkpoints)} fold models "
           f"-> {args.out}")
-    print(f"coverage at 0.8: {coverage_summary(preds)}")
+    print(f"coverage at {COVERAGE_THRESHOLD:g}: {coverage_summary(preds)}")
     return 0
 
 
@@ -397,8 +384,8 @@ def _cmd_baseline(args) -> int:
     test = read_users_jsonl(args.test_users) if args.test_users else None
     summary, preds = baseline_cv(corpus, args.algo, k=cfg["folds"],
                                  seed=args.seed, test_corpus=test,
-                                 tfidf_config=tfidf_from_config(cfg), lam=cfg["baseline_l2"],
-                                 epochs=cfg["baseline_epochs"],
+                                 tfidf_config=config_object(TfidfConfig, cfg),
+                                 lam=cfg["baseline_l2"], epochs=cfg["baseline_epochs"],
                                  lr=cfg["baseline_lr"])
     report = EnsembleReport()
     report.add(args.algo, summary.folds, summary.voting)
@@ -414,7 +401,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = _config(args)
-    config = stats_config(cfg)
+    config = config_object(AnalysisConfig, cfg)
     tweets = read_labeled_tweets_jsonl(args.tweets)
     preds = read_predictions_jsonl(args.preds)
     tables = run_analysis(tweets, preds, config)

@@ -106,6 +106,8 @@ class GenderPrediction:
     avg_prob: float
 
     def __post_init__(self):
+        if not isinstance(self.user_id, str):
+            raise TypeError(f"user_id must be a string, got {self.user_id!r}")
         if self.voted_gender not in GENDERS:
             raise CorpusError(f"prediction {self.user_id!r}: bad gender {self.voted_gender!r}")
         if not self.fold_probs:
@@ -191,6 +193,14 @@ def _json_list(obj, field: str, kinds, what: str) -> list:
             isinstance(v, kinds) and not isinstance(v, bool) for v in value)):
         raise TypeError(f"{field} must be a list of {what}")
     return value
+
+
+def _json_number(obj, field: str) -> float:
+    """``obj[field]`` as a float if it is a JSON number (a bool is not one)."""
+    value = obj[field]
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{field} must be a number")
+    return float(value)
 
 
 def read_users_jsonl(path) -> list[UserRecord]:
@@ -319,7 +329,7 @@ def read_predictions_jsonl(path) -> list[GenderPrediction]:
                 voted_gender=_parse_gender(obj["gender"], where=f"{path}, line {lineno}"),
                 fold_probs=[float(p) for p in _json_list(obj, "fold_probs", (int, float),
                                                          "numbers")],
-                avg_prob=float(obj["avg_prob"]),
+                avg_prob=_json_number(obj, "avg_prob"),
             )
             first = seen.setdefault(pred.user_id, lineno)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

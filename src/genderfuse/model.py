@@ -42,15 +42,17 @@ from .tensor import (
 VARIANTS = ("cnn", "cnn_char", "cnn_char_pos")
 
 CHECKPOINT_MAGIC = b"GFUS"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
 class ArchConfig:
     """Architecture and training hyperparameters.
 
-    Defaults are the reference operating point; word_filters_per_width is
-    read as filters per width (set filters_are_total for the split reading).
+    Defaults are the reference operating point.  ``word_filters_per_width``
+    filters run at each of the strictly ascending ``word_filter_widths``; a
+    budget of T filters in total is
+    ``word_filters_per_width = T // len(word_filter_widths)``.
     """
 
     variant: str = "cnn_char_pos"
@@ -61,7 +63,6 @@ class ArchConfig:
     char_filter_width: int = 3
     word_filter_widths: tuple = (1, 2, 3)
     word_filters_per_width: int = 2048
-    filters_are_total: bool = False
     dense_units: int = 256
     dropout: float = 0.2
     l2: float = 1e-5
@@ -84,8 +85,9 @@ class ArchConfig:
             raise ConfigError(f"bad l2/lr: {self.l2}/{self.lr}")
         if not self.word_filter_widths or any(w <= 0 for w in self.word_filter_widths):
             raise ConfigError(f"bad filter widths {self.word_filter_widths}")
-        if list(self.word_filter_widths) != sorted(self.word_filter_widths):
-            raise ConfigError(f"filter widths must be ascending, got {self.word_filter_widths}")
+        if any(a >= b for a, b in zip(self.word_filter_widths, self.word_filter_widths[1:])):
+            raise ConfigError("word_filter_widths must be strictly ascending, "
+                              f"got {self.word_filter_widths}")
 
     @property
     def uses_chars(self) -> bool:
@@ -101,14 +103,9 @@ class ArchConfig:
                 + (self.char_filters if self.uses_chars else 0)
                 + (self.pos_dim if self.uses_pos else 0))
 
-    def filters_for_width(self) -> int:
-        if self.filters_are_total:
-            return max(1, self.word_filters_per_width // len(self.word_filter_widths))
-        return self.word_filters_per_width
-
     @property
     def pooled_dim(self) -> int:
-        return self.filters_for_width() * len(self.word_filter_widths)
+        return self.word_filters_per_width * len(self.word_filter_widths)
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -200,7 +197,7 @@ def init_params(arch: ArchConfig, vocab, pretrained: dict | None = None,
         tensors["char_conv_b"] = Tensor(np.zeros(arch.char_filters, dtype=dtype), requires_grad=True)
     if arch.uses_pos:
         tensors["pos_emb"] = uniform(vocab.n_tags, arch.pos_dim)
-    per_width = arch.filters_for_width()
+    per_width = arch.word_filters_per_width
     for w in arch.word_filter_widths:
         tensors[f"word_conv_w{w}"] = uniform(w, arch.fused_dim, per_width)
         tensors[f"word_conv_b{w}"] = Tensor(np.zeros(per_width, dtype=dtype), requires_grad=True)
@@ -287,9 +284,8 @@ def _char_summaries(params: ModelParams, batch: Batch) -> Tensor:
 
     A token's summary depends only on its char row.  When no char parameter
     needs a gradient (inference), the path runs over the batch's distinct
-    rows (``Batch.char_rows``) and gathers back; training runs it per token,
-    because per-row gradients would be summed in another order.  The
-    token-type table of ROADMAP item 7 removes this branch.
+    rows (``Batch.char_rows``) and gathers back.  Training runs it per
+    token, because per-row training would sum the gradients in another order.
     """
     b, t, c = batch.char_ids.shape
     rows, lens = batch.char_ids.reshape(b * t, c), batch.char_lens.reshape(b * t)

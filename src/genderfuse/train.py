@@ -35,6 +35,9 @@ log = logging.getLogger(__name__)
 # Fixed report layout; algorithms we do not train render as "n/a".
 CANONICAL_ALGOS = ("SVM", "RNN", "CNN", "CNN_char", "CNN_char_pos")
 
+# Mean fold probability a prediction must exceed to count as covered.
+COVERAGE_THRESHOLD = 0.8
+
 
 # ---------------------------------------------------------------------------
 # result types
@@ -383,7 +386,7 @@ def evaluate(preds, users) -> float:
     return correct / len(preds)
 
 
-def coverage(preds, threshold: float = 0.80) -> float:
+def coverage(preds, threshold: float = COVERAGE_THRESHOLD) -> float:
     """Fraction of predictions whose mean fold probability exceeds threshold.
 
     The inequality is strict: a prediction at exactly the threshold is out.
@@ -393,9 +396,7 @@ def coverage(preds, threshold: float = 0.80) -> float:
     return sum(1 for p in preds if p.avg_prob > threshold) / len(preds)
 
 
-def coverage_summary(preds, threshold: float = 0.80) -> str:
+def coverage_summary(preds, threshold: float = COVERAGE_THRESHOLD) -> str:
     """Covered count plus percentage, e.g. ``"818908 (75.11%)"``."""
-    if not preds:
-        raise TrainingError("coverage needs at least one prediction")
-    hits = sum(1 for p in preds if p.avg_prob > threshold)
+    hits = round(coverage(preds, threshold) * len(preds))
     return f"{hits} ({100.0 * hits / len(preds):.2f}%)"

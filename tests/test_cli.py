@@ -4,6 +4,7 @@ import inspect
 import json
 import shutil
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -11,12 +12,10 @@ from genderfuse.baseline import TfidfConfig, baseline_cv
 from genderfuse.cli import (
     CONFIG_SPEC,
     UsageError,
-    arch_from_config,
+    config_object,
     main,
     parse_config_text,
     resolve_config,
-    stats_config,
-    tfidf_from_config,
 )
 from genderfuse.corpus import (GenderPrediction, UserRecord, gender_index, read_predictions_jsonl,
                                read_users_jsonl, write_predictions_jsonl, write_users_jsonl)
@@ -87,7 +86,7 @@ def test_resolve_set_rejects_unknown_key():
 
 
 def test_default_arch_matches_reference_recipe():
-    arch = arch_from_config(resolve_config(None, None))
+    arch = config_object(ArchConfig, resolve_config(None, None))
     assert arch.variant == "cnn_char_pos"
     assert arch.word_dim == 200
     assert arch.char_dim == 50
@@ -104,9 +103,18 @@ def test_default_arch_matches_reference_recipe():
 
 def test_cli_defaults_equal_library_defaults():
     cfg = resolve_config(None, None)
-    assert arch_from_config(cfg) == ArchConfig()
-    assert tfidf_from_config(cfg) == TfidfConfig()
-    assert stats_config(cfg) == AnalysisConfig()
+    assert config_object(ArchConfig, cfg) == ArchConfig()
+    assert config_object(TfidfConfig, cfg) == TfidfConfig()
+    assert config_object(AnalysisConfig, cfg) == AnalysisConfig()
+    # every key is a config object's field or a protocol setting, so a key
+    # that nothing reads fails here
+    protocol = {"folds", "epochs", "min_word_freq", "jobs", "coverage_threshold",
+                "baseline_l2", "baseline_epochs", "baseline_lr"}
+    owned = ([f.name for f in fields(ArchConfig)]
+             + ["baseline_" + f.name for f in fields(TfidfConfig)]
+             + [f.name for f in fields(AnalysisConfig)])
+    assert len(set(owned)) == len(owned) and not protocol & set(owned)
+    assert set(CONFIG_SPEC) == set(owned) | protocol
     for fn, keys in ((train_cv, {"k": "folds", "epochs": "epochs",
                                  "min_word_freq": "min_word_freq", "jobs": "jobs"}),
                      (baseline_cv, {"k": "folds", "lam": "baseline_l2",
@@ -561,6 +569,8 @@ BAD_SETTINGS = [
     ("baseline_epochs", 2, ["baseline", "--set", "baseline_epochs=0"]),
     ("baseline_lr", 2, ["baseline", "--set", "baseline_lr=-1"]),
     ("baseline_l2", 2, ["baseline", "--set", "baseline_l2=-5"]),
+    ("word_filter_widths", 2, ["train", "--set", "word_filter_widths=2,2"]),
+    ("unknown key 'filters_are_total'", 1, ["train", "--set", "filters_are_total=true"]),
     ("'ghost'", 2, ["train", "--test-users", "GHOST"]),
     ("'ghost'", 2, ["baseline", "--test-users", "GHOST"]),
     ("--batch-size", 1, ["predict", "--batch-size", "0"]),
@@ -667,6 +677,9 @@ PRED_OK = '{"user_id": "a", "gender": "male", "fold_probs": [0.9], "avg_prob": 0
     ("analyze", TWEET_OK, '{"tweet_id": "t2", "user_id": 7, "year": 2015}'),
     ("evaluate", PRED_OK, '{"user_id": "b", "gender": "male", "fold_probs": 5, "avg_prob": 1}'),
     ("evaluate", PRED_OK, '{"user_id": "b", "gender": "male", "fold_probs": "1", "avg_prob": 1}'),
+    ("evaluate", PRED_OK, '{"user_id": 7, "gender": "male", "fold_probs": [1], "avg_prob": 1}'),
+    ("evaluate", PRED_OK, '{"user_id": "b", "gender": "male", "fold_probs": [1], "avg_prob": "1"}'),
+    ("evaluate", PRED_OK, '{"user_id": "b", "gender": "male", "fold_probs": [1], "avg_prob": true}'),
 ])
 def test_malformed_jsonl_is_data_error_naming_line(tmp_path, capsys, command, good, bad):
     path = tmp_path / "bad.jsonl"

@@ -184,6 +184,23 @@ def test_predictions_jsonl_fold_probs_must_be_a_list_of_numbers(tmp_path, fold_p
         read_predictions_jsonl(path)
 
 
+# 7 would reach evaluate as "no truth label for user 7"; "1" would read as 1.0
+@pytest.mark.parametrize("user_id, avg_prob, message", [
+    ('7', '1', "user_id must be a string, got 7"),
+    ('null', '1', "user_id must be a string, got None"),
+    ('"b"', '"1"', "avg_prob must be a number"),
+    ('"b"', 'true', "avg_prob must be a number"),
+    ('"b"', 'null', "avg_prob must be a number"),
+])
+def test_predictions_jsonl_refuses_mistyped_id_or_avg(tmp_path, user_id, avg_prob, message):
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"user_id": "a", "gender": "male", "fold_probs": [1], "avg_prob": 1}\n'
+                    f'{{"user_id": {user_id}, "gender": "male", "fold_probs": [1], '
+                    f'"avg_prob": {avg_prob}}}\n')
+    with pytest.raises(CorpusError, match=f"line 2: malformed record: {message}$"):
+        read_predictions_jsonl(path)
+
+
 def test_predictions_jsonl_round_trip(tmp_path):
     preds = [GenderPrediction.from_fold_probs(f"u{i}", GENDERS[i % 2], [0.5 + 0.01 * i] * 5)
              for i in range(3)]

@@ -79,12 +79,6 @@ def test_arch_fused_dim_by_variant():
     assert ArchConfig(variant="cnn_char_pos").fused_dim == 260
 
 
-def test_arch_total_filters_knob():
-    a = ArchConfig(filters_are_total=True)
-    assert a.filters_for_width() == 2048 // 3
-    assert a.pooled_dim == 3 * (2048 // 3)
-
-
 def test_arch_validation():
     with pytest.raises(ConfigError, match="variant"):
         ArchConfig(variant="rnn")
@@ -92,6 +86,9 @@ def test_arch_validation():
         ArchConfig(dropout=1.0)
     with pytest.raises(ConfigError, match="ascending"):
         ArchConfig(word_filter_widths=(3, 1))
+    # a repeated width would give both conv layers one word_conv_w2
+    with pytest.raises(ConfigError, match=r"word_filter_widths must be strictly ascending"):
+        ArchConfig(word_filter_widths=(2, 2))
     with pytest.raises(ConfigError, match="positive"):
         ArchConfig(word_dim=0)
 
@@ -749,8 +746,9 @@ def test_checkpoint_version_mismatch(setup, tmp_path):
     path = tmp_path / "model.gfus"
     save_params(init_params(tiny_arch(), vocab, seed=27), path)
     blob = bytearray(path.read_bytes())
-    # 1: a checkpoint from a build whose header still held ArchConfig.classes
-    for version in (1, 99):
+    # 1 and 2: checkpoints from builds whose headers still held ArchConfig.classes
+    # or ArchConfig.filters_are_total
+    for version in (1, 2, 99):
         blob[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError,
